@@ -121,7 +121,7 @@ def _cmd_distributions(args):
             dt=args.dt, kappa=args.kappa, seed=args.seed)
         extra = {"fk_normalization": est.mean, "fk_stderr": est.stderr,
                  "fk_ess": est.ess,
-                 "fk_closed_form": 1 / dists.normalization_factor(
+                 "fk_closed_form": dists.normalization_factor(
                      args.kappa * args.t_final)}
     _write(args.out, _metadata(args, **extra), header, rows, args.format)
     return 0

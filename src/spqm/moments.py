@@ -3,18 +3,36 @@
 The modified Gaussian measure over a record of N increments has the
 real symmetric Toeplitz kernel
 
-    M_{kl} = delta_{kl} - kappa dt e^{-2 kappa dt |k-l|},
+    M_{kl} = delta_{kl} - kappa dt rho^{|k-l|},   rho = e^{-2 kappa dt},
 
-positive definite in the working regime kappa dt < 1.  Its inverse
-fixes the increment correlations <dw_k* dw_l> = dt (M^-1)_{kl}, its
-determinant the path-weight normalization, and quadratic forms in
-M^-1 the three nonzero second moments (n, m, q) of the endpoint phase
-points.  The same moments solve a closed Riccati system in continuous
-time, which this module integrates and also evaluates in closed form.
+that is M = I - kappa dt K with K the correlation matrix of a discrete
+Ornstein-Uhlenbeck (AR(1)) record.  Its inverse fixes the increment
+correlations <dw_k* dw_l> = dt (M^-1)_{kl}, its determinant the
+path-weight normalization, and quadratic forms in M^-1 the three
+nonzero second moments (n, m, q) of the endpoint phase points.
+
+Nothing here forms M.  The AR(1) whitening filter D (unit lower
+bidiagonal, -rho below the diagonal) takes K to diag(1, g, ..., g) with
+g = 1 - rho^2, so
+
+    B = D M D^T = tridiag(-rho; 1 - kappa dt, b, ..., b; -rho),
+    b = 1 + rho^2 - kappa dt g,
+
+is tridiagonal.  D is lower triangular, so every leading block M_k is
+congruent to the leading block B_k: the LDL^T pivots s_k of B are the
+Schur complements det M_k / det M_{k-1}, all of them are positive
+exactly when M is positive definite, and with B = U^T U (U upper
+bidiagonal, U_kk = sqrt(s_k)) the inverse factors as
+M^-1 = (D^T U^-1)(D^T U^-1)^T.  Determinants, moments and the
+modified-measure sampler of `paths` are thus O(N) in time and memory.
+The pivot recursion is the discrete form of the Riccati system that
+the same moments solve in continuous time, which this module also
+integrates and evaluates in closed form.
 """
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,102 +64,148 @@ class MomentTriple(NamedTuple):
     q: float
 
 
+def _schur_pivots(N, kdt):
+    """Pivots s_k = det M_k / det M_{k-1} for k = 1..N.
+
+    Iterates the deficit e_k = 1 - s_k = kappa dt (1 + rho^2 n_{k-1}),
+    with n_{k-1} the recent-load moment of the (k-1)-step record:
+
+        e_1 = kappa dt,   e_k = kappa dt g + rho^2 e_{k-1} / (1 - e_{k-1}).
+
+    This is the LDL^T recursion of B written about its O(1) part.  The
+    plain form s_k = b - rho^2 / s_{k-1} rounds that part afresh at
+    every step, and its map is nearly parabolic, so the rounding adds
+    up to an N^2 eps error in the determinant; the deficit form keeps
+    it to N eps.  Raises RegimeError at the first non-positive pivot.
+    """
+    rho2 = math.exp(-4 * kdt)
+    gain = -kdt * math.expm1(-4 * kdt)
+    deficits = []
+    e = kdt
+    for k in range(N):
+        if e >= 1:
+            raise RegimeError(
+                f"kernel loses positive definiteness at N = {k + 1} "
+                f"(kappa*dt = {kdt:.3g}, kappa*T = {kdt * (k + 1):.3g})")
+        deficits.append(e)
+        e = gain + rho2 * e / (1 - e)
+    return 1 - np.array(deficits)
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """The N x N modified-measure kernel and its parameters."""
+    """The N x N modified-measure kernel, held by the pivots of D M D^T.
+
+    Construction checks the regime: ValueError for N < 0, dt <= 0 or
+    kappa < 0, RegimeError for kappa dt >= 0.5 and for any record
+    length at which the kernel is not positive definite.
+    `pivots[k]` is det M_{k+1} / det M_k.  `matrix` assembles the dense
+    M on demand, as an O(N^2) reference for tests, checks and demos.
+    """
 
     N: int
     dt: float
     kappa: float
-    matrix: np.ndarray
+    pivots: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.N < 0:
+            raise ValueError("N must be nonnegative")
+        if self.dt <= 0 or self.kappa < 0:
+            raise ValueError("need dt > 0 and kappa >= 0")
+        kdt = self.kappa * self.dt
+        if kdt >= 0.5:
+            raise RegimeError(
+                f"kappa*dt = {kdt:.3g} outside working regime (< 0.5)")
+        object.__setattr__(self, "pivots", _schur_pivots(self.N, kdt))
+
+    @property
+    def rho(self):
+        """Per-step decay e^{-2 kappa dt} of the kernel's entries."""
+        return np.exp(-2 * self.kappa * self.dt)
+
+    @property
+    def matrix(self):
+        """Dense M_{kl} = delta_{kl} - kappa dt rho^{|k-l|}."""
+        k = np.arange(self.N)
+        kdt = self.kappa * self.dt
+        return np.eye(self.N) - kdt * np.exp(
+            -2 * kdt * np.abs(k[:, None] - k[None, :]))
+
+    def _bidiagonal(self):
+        """Diagonal and superdiagonal of U, where D M D^T = U^T U."""
+        root = np.sqrt(self.pivots)
+        return root, -self.rho / root[:-1]
+
+    def correlate(self, white):
+        """Apply F = D^T U^-1 to each row of `white`, shape (P, N).
+
+        F F^T = M^-1, so white rows of unit covariance come out with
+        covariance M^-1, at one bidiagonal solve and one bidiagonal
+        product per row.
+        """
+        root, off = self._bidiagonal()
+        upper = np.zeros((2, self.N))
+        upper[0, 1:] = off
+        upper[1] = root
+        x = scipy.linalg.solve_banded((0, 1), upper, white.T).T
+        x[:, :-1] -= self.rho * x[:, 1:]
+        return x
 
 
 def build_kernel(N, dt, kappa):
-    """Assemble M_{kl} = delta_{kl} - kappa dt e^{-2 kappa dt |k-l|}.
+    """The kernel M_{kl} = delta_{kl} - kappa dt e^{-2 kappa dt |k-l|}.
 
-    Raises RegimeError for kappa dt >= 0.5 (positivity margin) and
-    warns above 0.1, where continuum-limit fidelity starts to degrade.
+    Raises RegimeError for kappa dt >= 0.5 and wherever M is not
+    positive definite: for kappa dt = 0.1 that happens from N = 262 on,
+    for 0.05 from 1068, for 0.01 from 27107.  Warns above
+    kappa dt = 0.1, where continuum-limit fidelity starts to degrade.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    if dt <= 0 or kappa < 0:
-        raise ValueError("need dt > 0 and kappa >= 0")
+    kernel = Kernel(N, dt, kappa)
     kdt = kappa * dt
-    if kdt >= 0.5:
-        raise RegimeError(f"kappa*dt = {kdt:.3g} outside working regime (< 0.5)")
     if kdt > 0.1:
         warnings.warn(f"kappa*dt = {kdt:.3g} > 0.1: coarse time step degrades "
                       "the continuum limit", stacklevel=2)
-    k = np.arange(N)
-    matrix = np.eye(N) - kdt * np.exp(-2 * kdt * np.abs(k[:, None] - k[None, :]))
-    return Kernel(N=N, dt=dt, kappa=kappa, matrix=matrix)
-
-
-def _load_vectors(kernel):
-    """Discrete load vectors weighting recent and early increments."""
-    k = np.arange(kernel.N)
-    decay = 2 * kernel.kappa * kernel.dt
-    u_recent = np.exp(-decay * (kernel.N - 1 - k))
-    u_early = np.exp(-decay * k)
-    return u_recent, u_early
+    return kernel
 
 
 def direct_moments(kernel):
     """Second moments (n, m, q) as quadratic forms in the kernel inverse.
 
-    n = kappa dt <u+|M^-1|u+>, m likewise with the early-weighted load,
-    q mixed; computed with a Cholesky factor and triangular solves, not
-    an explicit inverse.
+    n = kappa dt <u+|M^-1|u+> with the recent-weighted load
+    u+_k = rho^{N-1-k}, m likewise with the early-weighted load
+    u-_k = rho^k, q mixed.  With M^-1 = (D^T U^-1)(D^T U^-1)^T these
+    are kappa dt times the Gram matrix of W = U^-T D [u+, u-], one
+    bidiagonal solve.  D u- = e_1 (u- is the first column of K) and
+    D u+ = g u+ but for its first entry rho^{N-1}; both are written in
+    closed form, since differencing the loads would cost digits.
     """
     if kernel.N == 0:
         return MomentTriple(0.0, 0.0, 0.0)
-    u_recent, u_early = _load_vectors(kernel)
-    try:
-        factor = scipy.linalg.cho_factor(kernel.matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise RegimeError("kernel is not positive definite") from exc
-    loads = np.column_stack([u_recent, u_early])
-    solved = scipy.linalg.cho_solve(factor, loads)
-    kdt = kernel.kappa * kernel.dt
-    n = kdt * (u_recent @ solved[:, 0])
-    m = kdt * (u_early @ solved[:, 1])
-    q = kdt * (u_recent @ solved[:, 1])
+    N, kdt = kernel.N, kernel.kappa * kernel.dt
+    loads = np.zeros((N, 2))
+    loads[:, 0] = -np.expm1(-4 * kdt) * np.exp(
+        -2 * kdt * np.arange(N - 1, -1, -1))
+    loads[0] = np.exp(-2 * kdt * (N - 1)), 1.0
+    root, off = kernel._bidiagonal()
+    lower = np.zeros((2, N))
+    lower[0] = root
+    lower[1, :-1] = off
+    w = scipy.linalg.solve_banded((1, 0), lower, loads)
+    (n, q), (_, m) = kdt * (w.T @ w)
     return MomentTriple(n, m, q)
 
 
 def recursive_determinant(N, dt, kappa):
-    """Determinants of all leading kernel blocks by Schur complements.
+    """Determinants of all leading kernel blocks from the Schur pivots.
 
-    Growing the kernel by one increment appends a column
-    b_j = -kappa dt e^{-2 kappa dt (k - j)} and a diagonal 1 - kappa dt;
-    the determinant advances by the Schur complement
-    s = (1 - kappa dt) - b^T M_k^-1 b = 1 - kappa dt (1 + n_k),
-    and the block inverse is updated exactly alongside.  Returns the
-    N+1 values det M_0 (= 1) through det M_N.
+    det M_k is the product of the first k pivots of D M D^T (see
+    `Kernel`), an O(N) scalar recursion.  Returns the N+1 values
+    det M_0 (= 1) through det M_N; raises RegimeError if M_N is not
+    positive definite.
     """
-    kdt = kappa * dt
-    if kdt >= 0.5:
-        raise RegimeError(f"kappa*dt = {kdt:.3g} outside working regime (< 0.5)")
-    dets = np.empty(N + 1)
-    dets[0] = 1.0
-    if N == 0:
-        return dets
-    inv = np.empty((N, N))
-    inv[0, 0] = 1 / (1 - kdt)
-    dets[1] = 1 - kdt
-    decay = np.exp(-2 * kdt)
-    for k in range(1, N):
-        b = -kdt * decay ** np.arange(k, 0, -1)
-        y = inv[:k, :k] @ b
-        s = (1 - kdt) - b @ y
-        if s <= 0:
-            raise RegimeError("Schur complement lost positivity")
-        dets[k + 1] = dets[k] * s
-        inv[:k, :k] += np.outer(y, y) / s
-        inv[:k, k] = -y / s
-        inv[k, :k] = -y / s
-        inv[k, k] = 1 / s
-    return dets
+    pivots = Kernel(N, dt, kappa).pivots
+    return np.concatenate([[1.0], np.cumprod(pivots)])
 
 
 def riccati_integrate(kappa, T, steps):

@@ -14,7 +14,6 @@ step index last.  All closed forms broadcast over the batch.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fock, group
 
@@ -105,22 +104,22 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     The real and imaginary increment vectors each carry covariance
     (dt/2) M^-1, so <dw_k* dw_l> = dt (M^-1)_{kl} with M the
     exponential-Toeplitz kernel of `moments.build_kernel`.  Sampling
-    goes through the Cholesky factor of M itself: if M = L L^T then
-    x = sqrt(dt/2) L^-T z has the required covariance.
+    goes through the kernel's O(N) factor M^-1 = F F^T with
+    F = D^T U^-1 (`moments.Kernel.correlate`): x = sqrt(dt/2) F z for
+    white z, one bidiagonal solve and one bidiagonal product per path.
+    Raises `moments.RegimeError` where the kernel is not positive
+    definite.
     """
     from . import moments
 
+    if N < 1:
+        raise ValueError("need at least one increment")
     kernel = moments.build_kernel(N, dt, kappa)
-    try:
-        chol = scipy.linalg.cholesky(kernel.matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise fock.NumericalDomainError(
-            "modified-measure kernel is not positive definite") from exc
-    rng = _rng(seed, stream)
     cols = 1 if n_paths is None else n_paths
-    z = rng.normal(size=(N, cols)) + 1j * rng.normal(size=(N, cols))
-    x = scipy.linalg.solve_triangular(chol.T, z, lower=False)
-    dw = (np.sqrt(dt / 2) * x).T
+    z = _rng(seed, stream).standard_normal((2 * cols, N))
+    x = kernel.correlate(z)
+    x *= np.sqrt(dt / 2)
+    dw = x[:cols] + 1j * x[cols:]
     if n_paths is None:
         dw = dw[0]
     return WienerPath(dt=dt, kappa=kappa, increments=dw)

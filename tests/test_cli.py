@@ -76,6 +76,8 @@ def test_distributions_with_mc(tmp_path):
     assert code == 0
     meta, rows = _read_output(out)
     assert "fk_normalization" in meta and "fk_ess" in meta
+    assert (abs(meta["fk_normalization"] - meta["fk_closed_form"])
+            <= 5 * meta["fk_stderr"])
     assert len(rows) == 1 + 50
     sigma_col = [float(r.split(",")[1]) for r in rows[1:]]
     assert np.all(np.diff(sigma_col) > 0)  # Sigma grows

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from spqm import moments
+from spqm import moments, paths
 
 
 def test_build_kernel_smallest():
@@ -35,6 +35,26 @@ def test_build_kernel_regime_guard():
         moments.build_kernel(10, 0.2, 1.0)
 
 
+def _dense_kernel(N, kdt):
+    k = np.arange(N)
+    return np.eye(N) - kdt * np.exp(-2 * kdt * np.abs(k[:, None] - k[None, :]))
+
+
+def test_regime_guard_is_exact():
+    # At kappa dt = 0.1 the kernel stays positive definite through
+    # N = 261 and loses it at N = 262, well inside kappa dt < 0.5.
+    # direct_moments takes a Kernel, which cannot be built there.
+    assert np.linalg.eigvalsh(moments.build_kernel(261, 0.1, 1.0).matrix
+                              ).min() > 0
+    assert np.linalg.eigvalsh(_dense_kernel(262, 0.1)).min() < 0
+    for call in (lambda: moments.build_kernel(262, 0.1, 1.0),
+                 lambda: moments.Kernel(300, 0.1, 1.0),
+                 lambda: moments.recursive_determinant(300, 0.1, 1.0),
+                 lambda: paths.sample_modified(300, 0.1, 1.0, seed=0)):
+        with pytest.raises(moments.RegimeError):
+            call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 60), st.floats(1e-4, 5e-2))
 def test_kernel_symmetries(N, kdt):
@@ -54,6 +74,29 @@ def test_direct_moments_continuum_values():
     assert abs(triple.m - 0.5) <= 5e-3
     assert abs(triple.q - (0.5 - np.exp(-2))) <= 5e-3
     assert abs(triple.n - triple.m) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.floats(1e-4, 0.1))
+def test_direct_moments_vs_dense(N, kdt):
+    try:
+        kernel = moments.build_kernel(N, kdt, 1.0)
+    except moments.RegimeError:
+        assume(False)
+    dense = kernel.matrix
+    k = np.arange(N)
+    loads = np.column_stack([np.exp(-2 * kdt * (N - 1 - k)),
+                             np.exp(-2 * kdt * k)])
+    solved = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(dense, lower=True), loads)
+    want = kdt * np.array([loads[:, 0] @ solved[:, 0],
+                           loads[:, 1] @ solved[:, 1],
+                           loads[:, 0] @ solved[:, 1]])
+    got = np.array(moments.direct_moments(kernel))
+    # Forward error of either route grows like cond(M) eps.
+    tol = 1e-12 * max(1.0, np.max(np.abs(want))) / np.linalg.eigvalsh(
+        dense).min()
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def test_direct_moments_single_step():
@@ -82,8 +125,11 @@ def test_recursive_determinant_trivial_and_closed():
 def test_recursive_determinant_vs_dense():
     N = 300
     dets = moments.recursive_determinant(N, 1e-3, 1.0)
-    dense = np.linalg.det(moments.build_kernel(N, 1e-3, 1.0).matrix)
-    assert abs(dets[-1] - dense) / abs(dense) <= 1e-10
+    dense = moments.build_kernel(N, 1e-3, 1.0).matrix
+    for k in range(1, N + 1):
+        sign, logdet = np.linalg.slogdet(dense[:k, :k])
+        assert sign == 1
+        assert abs(np.log(dets[k]) - logdet) <= 1e-12
 
 
 def test_determinant_step_ratio_identity():
@@ -101,6 +147,28 @@ def test_determinant_step_ratio_identity():
         exact = 1 - kdt * (1 + np.exp(-4 * kdt) * n_k)
         assert abs(ratio - exact) <= 1e-12
         assert abs(ratio - (1 - kdt * (1 + n_k))) <= 1e-5
+
+
+class _BasisDraws:
+    """Stands in for the generator: the white rows are unit vectors."""
+
+    def standard_normal(self, size):
+        rows, n = size
+        return np.tile(np.eye(n), (rows // n, 1))
+
+
+@pytest.mark.parametrize("N, dt", [(200, 0.01), (1000, 1e-3)])
+def test_sample_modified_exact_covariance(monkeypatch, N, dt):
+    # With the draws replaced by an orthonormal basis (real and
+    # imaginary parts alike), the sum of dw* dw^T over the N paths is
+    # the covariance the sampler's factors produce, with no Monte Carlo.
+    monkeypatch.setattr(paths, "_rng", lambda seed, stream=0: _BasisDraws())
+    dw = paths.sample_modified(N, dt, 1.0, seed=0, n_paths=N).increments
+    cov = dw.conj().T @ dw
+    dense = moments.build_kernel(N, dt, 1.0).matrix
+    expected = dt * scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(dense, lower=True), np.eye(N))
+    assert np.max(np.abs(cov - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_riccati_closed_forms():
