@@ -4,7 +4,8 @@ All operators are dense complex matrices on the truncated number basis
 |0>, ..., |dim-1>.  The truncation dimension is always an explicit
 argument; there is no hidden default.  Comparisons that must tolerate
 the truncation artifact in the bottom rows are restricted to the
-top-left "interior" block of size ``interior_dim(dim)``.
+top-left "interior" block of size ``interior_dim(dim)``, except for
+the ladder exponential exp(c a_dag), whose finite series is exact.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ __all__ = [
     "canonical_operators",
     "displacement_operator",
     "matrix_exponential",
-    "matrix_exponential_apply",
+    "ladder_exponential",
     "interior_dim",
     "interior_block",
 ]
@@ -121,37 +122,21 @@ def matrix_exponential(x):
     return scipy.linalg.expm(x)
 
 
-def matrix_exponential_apply(x, v, max_norm=0.5, order=16):
-    """Action exp(x) @ v without forming exp(x), batched over leading axes.
+def ladder_exponential(dim, c):
+    """exp(c a_dag), batched over `c`: shape c.shape + (dim, dim).
 
-    Substeps keep the scaled 1-norm below `max_norm`; each substep is a
-    truncated Taylor series applied by repeated matrix-vector products.
-    Intended for the small per-increment generators of the time-ordered
-    Kraus product, whose norms are O(sqrt(dt)).
-
-    Parameters
-    ----------
-    x : (..., d, d) ndarray
-    v : (..., d, k) ndarray
-
-    Returns
-    -------
-    (..., d, k) ndarray
+    The series is finite and lower triangular, entry (m, n) being
+    c^(m-n) sqrt(m!/n!) / (m-n)!, so truncation keeps every entry
+    exact.  Raises NumericalDomainError on non-finite input or overflow.
     """
-    x = np.asarray(x)
-    v = np.asarray(v).astype(complex)
-    if not np.all(np.isfinite(x)):
-        raise NumericalDomainError("matrix exponential of non-finite input")
-    norm = np.abs(x).sum(axis=-2).max() if x.size else 0.0
-    n_sub = max(1, int(np.ceil(norm / max_norm)))
-    xs = x / n_sub
-    for _ in range(n_sub):
-        term = v
-        total = v.copy()
-        for j in range(1, order + 1):
-            term = (xs @ term) / j
-            total += term
-        v = total
-    if not np.all(np.isfinite(v)):
-        raise NumericalDomainError("matrix exponential action overflowed")
-    return v
+    c = np.asarray(c)
+    if not np.all(np.isfinite(c)):
+        raise NumericalDomainError("ladder exponential of non-finite input")
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    m, n = np.tril_indices(dim)
+    coeff = np.exp(0.5 * (log_fact[m] - log_fact[n]) - log_fact[m - n])
+    out = np.zeros(c.shape + (dim, dim), dtype=complex)
+    out[..., m, n] = coeff * c[..., None] ** (m - n)
+    if not np.all(np.isfinite(out)):
+        raise NumericalDomainError("ladder exponential overflowed")
+    return out

@@ -147,17 +147,19 @@ def cartan_to_hc(y):
 def represent(x, dim):
     """Fock-space representation matrix of a group element.
 
-    HC input gives exp(a_dag nu) exp(-Ho r + z) exp(a conj(mu));
-    Cartan input gives D_beta exp(i phi) exp(-Ho r - ell) D_alpha_dag.
-    The two forms of the same element agree on the interior block.
+    HC input gives exp(a_dag nu) exp(-Ho r + z) exp(a conj(mu)) from the
+    finite ladder series: triangular x diagonal x triangular, exact
+    under truncation and batched over array coordinates.  Cartan input
+    gives D_beta exp(i phi) exp(-Ho r - ell) D_alpha_dag.  The two forms
+    of the same element agree on the interior block.
     """
-    ops = fock.canonical_operators(dim)
     levels = np.arange(dim) + 0.5
     if isinstance(x, HCCoords):
-        left = fock.matrix_exponential(ops.a_dag * x.nu)
-        middle = np.diag(np.exp(-levels * x.r + x.z))
-        right = fock.matrix_exponential(ops.a * np.conj(x.mu))
-        return left @ middle @ right
+        left = fock.ladder_exponential(dim, x.nu)
+        right = np.swapaxes(fock.ladder_exponential(dim, x.mu).conj(), -1, -2)
+        middle = np.exp(-levels * np.expand_dims(x.r, -1)
+                        + np.expand_dims(x.z, -1))
+        return (left * middle[..., None, :]) @ right
     _require_regular(x.r)
     d_beta = fock.displacement_operator(dim, x.beta)
     d_alpha = fock.displacement_operator(dim, x.alpha)

@@ -223,24 +223,20 @@ def riccati_integrate(kappa, T, steps):
     h = T / steps
     times = h * np.arange(steps + 1)
 
-    def rhs(t, y):
-        n, m, q = y
-        e = np.exp(-2 * kappa * t)
-        return np.array([
-            kappa * (1 - n) ** 2,
-            kappa * (q + e) ** 2,
-            kappa * (-q * (1 - n) + e * (1 + n)),
-        ])
+    def rhs(t, n, m, q):
+        e = math.exp(-2 * kappa * t)
+        return (kappa * (1 - n) ** 2, kappa * (q + e) ** 2,
+                kappa * (-q * (1 - n) + e * (1 + n)))
 
     out = np.zeros((steps + 1, 3))
-    y = np.zeros(3)
-    for i in range(steps):
-        t = times[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    y = (0.0, 0.0, 0.0)
+    for i, t in enumerate(times[:-1].tolist()):
+        k1 = rhs(t, *y)
+        k2 = rhs(t + h / 2, *(a + h / 2 * b for a, b in zip(y, k1)))
+        k3 = rhs(t + h / 2, *(a + h / 2 * b for a, b in zip(y, k2)))
+        k4 = rhs(t + h, *(a + h * b for a, b in zip(y, k3)))
+        y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         out[i + 1] = y
     return times, out[:, 0], out[:, 1], out[:, 2]
 

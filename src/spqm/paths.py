@@ -218,6 +218,8 @@ def closed_form_hc(path):
     recursion, so the result equals the iterated
     `group.increment_left_multiply` to floating-point accuracy, not
     just to O(dt).  Broadcasts over batch axes of the increments.
+    Raises `fock.NumericalDomainError` where the running sum's factor
+    e^{2 kappa dt (N-1)} overflows (2 kappa T above about 709).
     """
     dw = np.asarray(path.increments)
     kappa, dt = path.kappa, path.dt
@@ -225,6 +227,9 @@ def closed_form_hc(path):
     k = np.arange(N)
     root = np.sqrt(kappa)
     decay = 2 * kappa * dt
+    if decay * (N - 1) > np.log(np.finfo(float).max):
+        raise fock.NumericalDomainError(
+            f"closed_form_hc overflows at 2 kappa T = {decay * N:.1f}")
 
     nu = root * np.sum(dw * np.exp(-decay * (N - 1 - k)), axis=-1)
     mu = root * np.sum(dw * np.exp(-decay * k), axis=-1)
@@ -248,6 +253,7 @@ def closed_form_cartan(path):
     Agrees with hc_to_cartan(closed_form_hc(path)) to floating-point
     accuracy; requires at least one step (the chart is singular at T=0).
     """
+    hc = closed_form_hc(path)
     dw = np.asarray(path.increments)
     kappa, dt = path.kappa, path.dt
     N = dw.shape[-1]
@@ -260,7 +266,6 @@ def closed_form_cartan(path):
     beta = root * np.sum(dw * (np.exp(r) * w_recent + w_early), axis=-1) / denom
     alpha = root * np.sum(dw * (np.exp(r) * w_early + w_recent), axis=-1) / denom
 
-    hc = closed_form_hc(path)
     f, xi = group.gauge_functions(hc)
     return group.CartanCoords(beta=beta, phi=hc.psi - xi, r=r,
                               ell=hc.s - f, alpha=alpha)

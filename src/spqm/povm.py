@@ -4,18 +4,18 @@ The measurement's POVM elements at time T integrate to the identity;
 the scalar core of that statement is the partition-function identity
 tr e^{-4 kappa T Ho} = 1/(2 sinh 2 kappa T).  This module checks the
 identity directly, performs the phase-space completeness integral by
-quadrature, compares a Monte Carlo average of Kraus conjugations
-against the dense superoperator exponential of the total channel, and
-measures the late-time collapse of the POVM elements onto coherent
-state outer products.
+quadrature (angular sum by rotation covariance), compares a Monte Carlo
+average over the exact Kraus operators of record endpoints against the
+dense superoperator exponential of the total channel, and measures the
+late-time collapse of the POVM elements onto coherent state outer
+products.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from . import fock, paths
+from . import fock, group, paths
 
 __all__ = [
     "ChannelReport",
@@ -25,6 +25,9 @@ __all__ = [
     "channel_monte_carlo",
     "late_time_coherent_residual",
 ]
+
+#: Paths per record batch of `channel_monte_carlo`; bounds its memory.
+CHANNEL_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,11 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64,
     uniform angular grid, and returns the operator-norm deviation from
     the identity on the top-left dim/2 block.
 
+    D(r e^{i th}) = e^{i th n} D(r) e^{-i th n}, also when truncated, so
+    the mean over the angular grid keeps the entries (m, n) of the
+    radial term with m - n = 0 mod angular_nodes: one exponential per
+    radial node.
+
     The quadrature runs in a padded workspace of twice 'alpha_sq_max'
     levels (default cap 2 dim, so a 4x padding): a displacement by
     alpha is only faithful on a truncation holding the displaced
@@ -92,18 +100,14 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64,
 
     levels = np.arange(dim_work) + 0.5
     core = np.diag(np.exp(-4 * kT * levels))
-    theta = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
     total = np.zeros((dim_work, dim_work), dtype=complex)
     for u, w in zip(nodes, weights):
-        radius = np.sqrt(u / c)
-        ring = np.zeros((dim_work, dim_work), dtype=complex)
-        for th in theta:
-            d = fock.displacement_operator(dim_work, radius * np.exp(1j * th))
-            ring += d @ core @ d.conj().T
+        d = fock.displacement_operator(dim_work, np.sqrt(u / c))
         # Gauss-Laguerre supplies the e^{-u} factor that the true
         # integrand carries inside d @ core @ d_dag, so weight by w e^u.
-        total += (w * np.exp(u)) * ring
-    total *= 2 * np.sinh(2 * kT) / (c * angular_nodes)
+        total += (w * np.exp(u)) * (d @ core @ d.conj().T)
+    lag = np.subtract.outer(levels, levels)
+    total *= (lag % angular_nodes == 0) * (2 * np.sinh(2 * kT) / c)
     half = dim // 2
     deviation = total[:half, :half] - np.eye(half)
     return np.linalg.norm(deviation, ord=2)
@@ -126,13 +130,15 @@ def channel_superoperator(kT, dim):
     return fock.matrix_exponential(-0.5 * kT * (ad_q @ ad_q + ad_p @ ad_p))
 
 
-def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed, chunk=5000):
+def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     """Monte Carlo channel average against the analytic superoperator.
 
-    Averages L rho L_dag over time-ordered Kraus products (applied as
-    batched exponential actions on a factor of rho) and reports the
-    trace distance to the dense channel exponential, plus the trace
-    preservation statistics.
+    Averages L rho L_dag, with L = represent(closed_form_hc(record)) the
+    exact Kraus operator of a record (kappa = 1), and reports the trace
+    distance to the dense channel exponential and the trace
+    preservation statistics.  Records come in batches of
+    `CHANNEL_CHUNK` paths, batch j from substream j of `seed`, so the
+    result depends on that chunking as well as on the seed.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
@@ -149,7 +155,6 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed, chunk=5000):
         raise ValueError("rho must be positive semidefinite")
     factor = evecs[:, keep] * np.sqrt(evals[keep])
 
-    ops = fock.canonical_operators(dim)
     # Work in units kappa = 1: N steps of size dt cover T = kT.
     N = int(round(kT / dt))
     if abs(N * dt - kT) > 1e-12:
@@ -157,24 +162,13 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed, chunk=5000):
 
     rho_mc = np.zeros((dim, dim), dtype=complex)
     traces = []
-    start, stream = 0, 0
-    while start < n_paths:
-        size = min(chunk, n_paths - start)
+    for stream, start in enumerate(range(0, n_paths, CHANNEL_CHUNK)):
+        size = min(CHANNEL_CHUNK, n_paths - start)
         batch = paths.sample_wiener(N, dt, 1.0, seed, n_paths=size,
                                     stream=stream)
-        dw = batch.increments
-        v = np.broadcast_to(factor, (size,) + factor.shape).copy()
-        drift = -2 * dt * ops.h_osc
-        for k in range(N):
-            w = dw[:, k]
-            gen = (drift
-                   + ops.a * np.conj(w)[:, None, None]
-                   + ops.a_dag * w[:, None, None])
-            v = fock.matrix_exponential_apply(gen, v, order=12)
+        v = group.represent(paths.closed_form_hc(batch), dim) @ factor
         rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
         traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)
-        start += size
-        stream += 1
     rho_mc /= n_paths
     traces = np.concatenate(traces)
 
@@ -187,7 +181,7 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed, chunk=5000):
         trace_mean=traces.mean(),
         trace_stderr=traces.std(ddof=1) / np.sqrt(n_paths),
         n_paths=n_paths, seed=seed,
-        metadata={"dt": dt, "chunk": chunk},
+        metadata={"dt": dt, "chunk": CHANNEL_CHUNK},
     )
 
 
@@ -198,7 +192,6 @@ def late_time_coherent_residual(kT, beta, alpha, dim):
     state outer product at rate e^{-2kT}; at beta = alpha = 0 the
     residual is exactly the next Boltzmann factor e^{-2kT}.
     """
-    ops = fock.canonical_operators(dim)
     d_beta = fock.displacement_operator(dim, beta)
     d_alpha = fock.displacement_operator(dim, alpha)
     levels = np.arange(dim) + 0.5

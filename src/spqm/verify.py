@@ -4,8 +4,8 @@ Each check exercises one headline identity of the library at fixed
 parameters and tolerances and reports pass/fail with a short detail
 string.  The suite is deterministic: every Monte Carlo check derives
 its randomness from a fixed seed.  `run_all` executes everything
-(about two to four minutes); the CLI `verify` subcommand and the
-acceptance tests both drive this module.
+(about a minute); the CLI `verify` subcommand and the acceptance
+tests both drive this module.
 """
 
 import time
@@ -224,7 +224,11 @@ def check_completeness():
 
 
 def check_channel():
-    """MC Kraus average matches the dense channel exponential at dim 8."""
+    """MC Kraus average matches the dense channel exponential at dim 8.
+
+    Kraus operators are exact endpoint representations; check 15 covers
+    the per-step factor exp(generator), O(dt) off the group increment.
+    """
     dim = 8
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0

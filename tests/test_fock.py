@@ -102,13 +102,22 @@ def test_conjugation_identity():
         assert np.linalg.norm((lhs - ops.a * np.exp(r))[:15, :15]) <= 1e-8
 
 
-def test_matrix_exponential_apply_matches_dense():
+def test_ladder_exponential_matches_dense():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    v = rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2))
-    got = fock.matrix_exponential_apply(x, v)
-    want = np.stack([fock.matrix_exponential(xi) @ vi for xi, vi in zip(x, v)])
-    assert np.max(np.abs(got - want)) <= 1e-10
+    c = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    for dim in (2, 3, 7, 16, 40):
+        got = fock.ladder_exponential(dim, c)
+        assert got.shape == (2, 3, dim, dim)
+        a_dag = fock.canonical_operators(dim).a_dag
+        want = np.array([[fock.matrix_exponential(ci * a_dag) for ci in row]
+                         for row in c])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_ladder_exponential_rejects_nonfinite():
+    for c in (np.nan, [0.1, np.inf]):
+        with pytest.raises(fock.NumericalDomainError):
+            fock.ladder_exponential(4, c)
 
 
 def test_interior_block_shape():

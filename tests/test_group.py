@@ -118,6 +118,32 @@ def test_represent_cross_decomposition():
         assert np.linalg.norm(fock.interior_block(r_hc - r_cartan)) <= 1e-8
 
 
+def test_represent_hc_is_truncation_exact():
+    # Triangular x diagonal x triangular: the small truncation is the
+    # top-left block of the large one.  The Cartan form is not.
+    x = group.HCCoords(nu=0.6 - 0.3j, r=0.7, z=0.2 + 0.4j, mu=-0.4 + 0.5j)
+    small, large = group.represent(x, 12), group.represent(x, 60)
+    assert np.max(np.abs(small - large[:12, :12])) <= 1e-14 * np.max(
+        np.abs(small))
+    y = group.hc_to_cartan(x)
+    small, large = group.represent(y, 12), group.represent(y, 60)
+    assert np.max(np.abs(small - large[:12, :12])) >= 1e-6
+
+
+def test_represent_hc_batched_equals_scalar_calls():
+    rng = np.random.default_rng(5)
+    nu = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    z = 0.3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    mu = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    r = rng.uniform(0.1, 2.0, size=4)
+    got = group.represent(group.HCCoords(nu=nu, r=r, z=z, mu=mu), 10)
+    want = np.stack([group.represent(
+        group.HCCoords(nu=nu[i], r=r[i], z=z[i], mu=mu[i]), 10)
+        for i in range(4)])
+    assert got.shape == (4, 10, 10)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_povm_element_form():
     # R(y)_dag R(y) = D_alpha e^{-2 r Ho - 2 ell} D_alpha_dag
     dim = 30

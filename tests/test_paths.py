@@ -95,6 +95,15 @@ def test_closed_form_equals_recursion():
         assert abs(end.z - closed.z[p]) <= 1e-10
 
 
+def test_closed_form_raises_where_running_sum_overflows():
+    # kappa T = 400: the growing factor e^{2 kappa dt (N-1)} overflows.
+    batch = paths.sample_wiener(4000, 0.1, 1.0, 0, n_paths=2)
+    with pytest.raises(fock.NumericalDomainError):
+        paths.closed_form_hc(batch)
+    with pytest.raises(fock.NumericalDomainError):
+        paths.closed_form_cartan(batch)
+
+
 def test_closed_form_cartan_matches_transform():
     path = paths.sample_wiener(400, 1e-3, 1.0, seed=8)
     direct = paths.closed_form_cartan(path)

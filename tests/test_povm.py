@@ -39,6 +39,38 @@ def test_completeness_identity():
     assert dev2 <= 1e-3
 
 
+def _completeness_angular_loop(kT, dim, radial_nodes=40, angular_nodes=64):
+    """Reference: the completeness quadrature with one exponential per angle."""
+    c = 1 - np.exp(-4 * kT)
+    alpha_sq_max = 2.0 * dim
+    dim_work = max(dim, int(np.ceil(2 * alpha_sq_max)))
+    nodes, weights = np.polynomial.laguerre.laggauss(radial_nodes)
+    keep = nodes / c <= alpha_sq_max
+    core = np.diag(np.exp(-4 * kT * (np.arange(dim_work) + 0.5)))
+    theta = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
+    total = np.zeros((dim_work, dim_work), dtype=complex)
+    for u, w in zip(nodes[keep], weights[keep]):
+        for th in theta:
+            d = fock.displacement_operator(dim_work,
+                                           np.sqrt(u / c) * np.exp(1j * th))
+            total += (w * np.exp(u)) * (d @ core @ d.conj().T)
+    total *= 2 * np.sinh(2 * kT) / (c * angular_nodes)
+    half = dim // 2
+    return np.linalg.norm(total[:half, :half] - np.eye(half), ord=2)
+
+
+@pytest.mark.parametrize("kT,dim,nodes", [
+    (1.0, 4, dict(radial_nodes=8, angular_nodes=8)),  # aliased: 8 < 16 levels
+    # aliased inside the reported 4 x 4 block: entries with m - n = 3 stay
+    (1.0, 8, dict(radial_nodes=8, angular_nodes=3)),
+    (0.5, 6, {}),
+])
+def test_completeness_mask_matches_angular_loop(kT, dim, nodes):
+    got = povm.completeness_quadrature(kT, dim, **nodes)
+    want = _completeness_angular_loop(kT, dim, **nodes)
+    assert abs(got - want) <= 1e-12
+
+
 def test_completeness_coherent_state_limit():
     # At large kT the weighted element collapses to |alpha><alpha| and
     # the integral reduces to coherent-state completeness.
