@@ -248,8 +248,8 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         evaluated at the endpoint.
     n_paths, N, dt, kappa, seed
         Monte Carlo size and path parameters; all randomness derives
-        from `seed` (chunks use derived substreams, so the result is
-        independent of `chunk`).
+        from `seed`.  Chunk j of `chunk` paths draws from substream j,
+        so the result depends on the chunking as well as on the seed.
 
     Returns
     -------

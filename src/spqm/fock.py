@@ -99,8 +99,10 @@ def displacement_operator(dim, alpha):
     Exactly unitary at any truncation (the truncated exponent stays
     anti-Hermitian), but it only acts like the untruncated displacement
     on states whose displaced support stays well inside the basis;
-    keep |alpha|^2 small relative to dim.
+    keep |alpha|^2 small relative to dim.  `alpha` is one scalar.
     """
+    if np.ndim(alpha):
+        raise ValueError("displacement_operator takes one alpha at a time")
     ops = canonical_operators(dim)
     return matrix_exponential(ops.a_dag * alpha - ops.a * np.conj(alpha))
 

@@ -149,17 +149,27 @@ def represent(x, dim):
 
     HC input gives exp(a_dag nu) exp(-Ho r + z) exp(a conj(mu)) from the
     finite ladder series: triangular x diagonal x triangular, exact
-    under truncation and batched over array coordinates.  Cartan input
-    gives D_beta exp(i phi) exp(-Ho r - ell) D_alpha_dag.  The two forms
-    of the same element agree on the interior block.
+    under truncation and batched over array coordinates; it raises
+    `fock.NumericalDomainError` where a coordinate is not finite or the
+    diagonal factor overflows.  Cartan input gives
+    D_beta exp(i phi) exp(-Ho r - ell) D_alpha_dag for one element at a
+    time.  The two forms of the same element agree on the interior
+    block.
     """
     levels = np.arange(dim) + 0.5
     if isinstance(x, HCCoords):
         left = fock.ladder_exponential(dim, x.nu)
         right = np.swapaxes(fock.ladder_exponential(dim, x.mu).conj(), -1, -2)
-        middle = np.exp(-levels * np.expand_dims(x.r, -1)
-                        + np.expand_dims(x.z, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            middle = np.exp(-levels * np.expand_dims(x.r, -1)
+                            + np.expand_dims(x.z, -1))
+        if not np.all(np.isfinite(middle)):
+            raise fock.NumericalDomainError(
+                "represent: r or z is not finite, or exp(-Ho r + z) "
+                "overflows")
         return (left * middle[..., None, :]) @ right
+    if any(np.ndim(v) for v in (x.beta, x.phi, x.r, x.ell, x.alpha)):
+        raise ValueError("represent takes one Cartan element at a time")
     _require_regular(x.r)
     d_beta = fock.displacement_operator(dim, x.beta)
     d_alpha = fock.displacement_operator(dim, x.alpha)

@@ -29,6 +29,9 @@ __all__ = [
     "refine_path",
 ]
 
+#: Steps per block in the blocked evaluation of `closed_form_hc`.
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class WienerPath:
@@ -81,20 +84,27 @@ def _rng(seed, stream=0):
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
+def _complex_normal(rng, shape, dt):
+    """Complex Gaussians of shape `shape`, real and imaginary parts i.i.d.
+    N(0, dt/2), from one real draw viewed as interleaved (re, im) pairs."""
+    x = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+    x *= np.sqrt(dt / 2)
+    return x.view(complex)
+
+
 def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
     """Draw plain-measure increments dw = (dW^q + i dW^p)/sqrt(2).
 
-    Deterministic for a given (seed, stream); `stream` selects an
-    independent substream so that chunked Monte Carlo stays
-    reproducible under any chunking.
+    Real and imaginary parts are independent N(0, dt/2), drawn as one
+    real array of interleaved pairs.  Deterministic for a given
+    (seed, stream); `stream` selects an independent substream, so a
+    chunked Monte Carlo is reproducible for a fixed chunking, and its
+    result depends on the chunking as well as on the seed.
     """
     if N < 1:
         raise ValueError("need at least one increment")
-    rng = _rng(seed, stream)
     shape = (N,) if n_paths is None else (n_paths, N)
-    scale = np.sqrt(dt / 2)
-    dw = rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale,
-                                                               size=shape)
+    dw = _complex_normal(_rng(seed, stream), shape, dt)
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
@@ -202,6 +212,25 @@ def propagate_sde(path, chart="hc"):
     return Trajectory(times=dt * np.arange(1, N + 1), cartan=states)
 
 
+def _block_weights(rho, n):
+    """Real n x (n+2) weights of one block of n increments.
+
+    Columns 0..n-1 hold A = I/2 + the strict lower Toeplitz
+    rho^(j-1-i) (row j, column i), so sum_i dw_i conj((dw A)_i) is the
+    block's own part of the center sum; column n holds rho^(n-1-j),
+    the block's contribution to the state at its end; column n+1 holds
+    rho^j, its weights from its start.  Every entry is at most 1.
+    """
+    j = np.arange(n)
+    lag = j[:, None] - j[None, :] - 1
+    w = np.empty((n, n + 2))
+    w[:, :n] = np.where(lag >= 0, rho ** np.maximum(lag, 0), 0.0)
+    w[j, j] = 0.5
+    w[:, n] = rho ** (n - 1 - j)
+    w[:, n + 1] = rho ** j
+    return w
+
+
 def closed_form_hc(path):
     """Endpoint HC coordinates as explicit stochastic-integral sums.
 
@@ -209,38 +238,59 @@ def closed_form_hc(path):
     the heterodyne-style sum weighting early increments, and z a
     quadratic functional of the record:
 
-        nu_N = sum_k sqrt(kappa) dw_k e^{-2 kappa dt (N-1-k)}
-        mu_N = sum_k sqrt(kappa) dw_k e^{-2 kappa dt k}
+        nu_N = sum_k sqrt(kappa) dw_k rho^(N-1-k)
+        mu_N = sum_k sqrt(kappa) dw_k rho^k
         z_N  = sum_k (kappa/2)|dw_k|^2
-               + kappa sum_{k>l} dw_k* dw_l e^{-2 kappa dt (k-l-1)}
+               + kappa sum_{k>l} dw_k* dw_l rho^(k-l-1)
 
-    The exponents carry the one-increment offsets of the exact discrete
-    recursion, so the result equals the iterated
-    `group.increment_left_multiply` to floating-point accuracy, not
-    just to O(dt).  Broadcasts over batch axes of the increments.
-    Raises `fock.NumericalDomainError` where the running sum's factor
-    e^{2 kappa dt (N-1)} overflows (2 kappa T above about 709).
+    with rho = e^{-2 kappa dt}.  The exponents carry the one-increment
+    offsets of the exact discrete recursion, so the result equals the
+    iterated `group.increment_left_multiply` to floating-point
+    accuracy, not just to O(dt).  Broadcasts over batch axes of the
+    increments.
+
+    The kernel rho^(k-l-1) is semiseparable (rank one off the
+    diagonal), so the record is cut into blocks of `_BLOCK` steps plus
+    one tail block.  One real-weight GEMM per block shape
+    (`_block_weights`) gives each block's local center sum, its
+    end-of-block state E_b and its start-weighted sum G_b; the state
+    S_b carried across blocks is E times the block-level Toeplitz
+    matrix rho^(end_b - end_b').  Every factor is at most 1, so the
+    sums stay finite at any kappa T.
     """
-    dw = np.asarray(path.increments)
+    dw = np.asarray(path.increments, dtype=complex)
     kappa, dt = path.kappa, path.dt
     N = dw.shape[-1]
-    k = np.arange(N)
-    root = np.sqrt(kappa)
     decay = 2 * kappa * dt
-    if decay * (N - 1) > np.log(np.finfo(float).max):
-        raise fock.NumericalDomainError(
-            f"closed_form_hc overflows at 2 kappa T = {decay * N:.1f}")
+    rho = np.exp(-decay)
+    n_full, tail = divmod(N, _BLOCK)
+    blocks = []
+    if n_full:
+        blocks.append(dw[..., :n_full * _BLOCK].reshape(
+            dw.shape[:-1] + (n_full, _BLOCK)))
+    if tail:
+        blocks.append(dw[..., None, n_full * _BLOCK:])
 
-    nu = root * np.sum(dw * np.exp(-decay * (N - 1 - k)), axis=-1)
-    mu = root * np.sum(dw * np.exp(-decay * k), axis=-1)
+    local, ends, sums = 0, [], []
+    for x in blocks:
+        n = x.shape[-1]
+        y = x @ _block_weights(rho, n)
+        np.conjugate(y, out=y)
+        local = local + np.einsum("...j,...j->...", x, y[..., :n]).sum(axis=-1)
+        ends.append(y[..., n].conj())
+        sums.append(y[..., n + 1])
+    ends = np.concatenate(ends, axis=-1)
+    sums = np.concatenate(sums, axis=-1)
 
-    # Off-diagonal double sum via a running sum: the inner factor
-    # sum_{l<k} dw_l e^{-decay (k-1-l)} is the pre-step value of nu.
-    grow = np.cumsum(dw * np.exp(decay * k), axis=-1)
-    inner = np.zeros_like(dw)
-    inner[..., 1:] = grow[..., :-1] * np.exp(-decay * (k[1:] - 1))
-    z = (0.5 * kappa * np.sum(np.abs(dw) ** 2, axis=-1)
-         + kappa * np.sum(np.conj(dw) * inner, axis=-1))
+    start = np.arange(0, N, _BLOCK)
+    last = np.minimum(start + _BLOCK, N) - 1
+    lag = last[:, None] - last[None, :]
+    state = ends @ np.where(lag >= 0, rho ** np.maximum(lag, 0), 0.0).T
+    root = np.sqrt(kappa)
+    nu = root * state[..., -1]
+    mu = root * (sums.conj() @ rho ** start)
+    z = kappa * (local + np.einsum("...j,...j->...", sums[..., 1:],
+                                   state[..., :-1]))
     return group.HCCoords(nu=nu, r=decay * N, z=z, mu=mu)
 
 
@@ -252,13 +302,18 @@ def closed_form_cartan(path):
     center follows from the gauge functions: ell = s - f, phi = psi - xi.
     Agrees with hc_to_cartan(closed_form_hc(path)) to floating-point
     accuracy; requires at least one step (the chart is singular at T=0).
+    Raises `fock.NumericalDomainError` where e^r overflows (r = 2 kappa T
+    above about 709).
     """
-    hc = closed_form_hc(path)
     dw = np.asarray(path.increments)
     kappa, dt = path.kappa, path.dt
     N = dw.shape[-1]
     k = np.arange(N)
     r = 2 * kappa * dt * N
+    if r > np.log(np.finfo(float).max):
+        raise fock.NumericalDomainError(
+            f"closed_form_cartan overflows at 2 kappa T = {r:.1f}")
+    hc = closed_form_hc(path)
     denom = 2 * np.sinh(r)
     root = np.sqrt(kappa)
     w_recent = np.exp(-2 * kappa * dt * (N - 1 - k))
@@ -311,11 +366,8 @@ def refine_path(path, factor, seed):
         raise ValueError("refinement factor must be at least 2")
     dw = np.asarray(path.increments)
     dt_fine = path.dt / factor
-    rng = _rng(seed, stream=1)
-    shape = dw.shape + (factor,)
-    scale = np.sqrt(dt_fine / 2)
-    g = rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale,
-                                                              size=shape)
-    g = g - g.mean(axis=-1, keepdims=True) + dw[..., None] / factor
+    g = _complex_normal(_rng(seed, stream=1), dw.shape + (factor,), dt_fine)
+    g -= g.mean(axis=-1, keepdims=True)
+    g += dw[..., None] / factor
     fine = g.reshape(dw.shape[:-1] + (dw.shape[-1] * factor,))
     return WienerPath(dt=dt_fine, kappa=path.kappa, increments=fine)

@@ -49,6 +49,12 @@ def test_displacement_unitary_interior():
     assert np.linalg.norm(block - np.eye(15)) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha", [np.full(3, 0.2 + 0.1j), np.zeros(5)])
+def test_displacement_is_scalar_only(alpha):
+    with pytest.raises(ValueError, match="one alpha at a time"):
+        fock.displacement_operator(3, alpha)
+
+
 def test_displacement_normal_ordered_form():
     # D_alpha = e^{-|alpha|^2/2} e^{alpha a_dag} e^{-alpha* a}
     dim, alpha = 30, 1.0

@@ -144,6 +144,25 @@ def test_represent_hc_batched_equals_scalar_calls():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("r, z", [(np.nan, 0j), (0.5, np.inf + 0j),
+                                  (-800.0, 0j)])
+def test_represent_hc_rejects_non_finite(r, z):
+    x = group.HCCoords(nu=0j, r=r, z=z, mu=0j)
+    with pytest.raises(fock.NumericalDomainError):
+        group.represent(x, 3)
+
+
+def test_represent_cartan_is_scalar_only():
+    y = group.CartanCoords(beta=np.full(3, 0.1 + 0j), phi=0.0, r=0.5,
+                           ell=0.0, alpha=0j)
+    with pytest.raises(ValueError, match="one Cartan element"):
+        group.represent(y, 3)
+    y = group.CartanCoords(beta=0j, phi=np.zeros(3), r=0.5, ell=0.0,
+                           alpha=0j)
+    with pytest.raises(ValueError, match="one Cartan element"):
+        group.represent(y, 3)
+
+
 def test_povm_element_form():
     # R(y)_dag R(y) = D_alpha e^{-2 r Ho - 2 ell} D_alpha_dag
     dim = 30

@@ -12,6 +12,11 @@ def test_sample_wiener_statistics():
     dt = 1e-3
     assert abs(dw.mean()) <= 3 * np.sqrt(dt / len(dw))
     assert abs(np.mean(np.abs(dw) ** 2) / dt - 1) <= 0.01
+    # Independent real and imaginary parts of variance dt/2 each: the
+    # pseudo-variance E dw^2 vanishes (each part has standard error
+    # dt/sqrt(n)).
+    assert abs(np.mean(dw ** 2)) <= 4 * dt / np.sqrt(len(dw))
+    assert abs(np.mean(dw.real ** 2) / (dt / 2) - 1) <= 0.01
 
 
 def test_sample_wiener_deterministic():
@@ -95,11 +100,41 @@ def test_closed_form_equals_recursion():
         assert abs(end.z - closed.z[p]) <= 1e-10
 
 
-def test_closed_form_raises_where_running_sum_overflows():
-    # kappa T = 400: the growing factor e^{2 kappa dt (N-1)} overflows.
+def _recursion_endpoint(path):
+    x = group.HCCoords.identity()
+    for k in range(path.n_steps):
+        x = group.increment_left_multiply(x, path.increments[..., k],
+                                          path.kappa, path.dt)
+    return x
+
+
+@pytest.mark.parametrize("shape", [None, (3, 2)])
+@pytest.mark.parametrize("N", [1, 31, 32, 33, 300])
+def test_blocked_closed_form_matches_recursion(N, shape):
+    # Block edges at 32 steps: no full block, one short of a block, one
+    # exact block, one block plus a tail, and many blocks plus a tail.
+    rng = np.random.default_rng(N)
+    size = (N,) if shape is None else shape + (N,)
+    dw = 0.03 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    path = paths.WienerPath(dt=1e-3, kappa=1.5, increments=dw)
+    got = paths.closed_form_hc(path)
+    want = _recursion_endpoint(path)
+    for name in ("nu", "mu", "z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.shape(a) == np.shape(b)
+        assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def test_closed_forms_at_kappa_t_400():
+    # kappa T = 400: the HC sums carry only decaying factors and stay
+    # finite; the Cartan chart's e^r overflows and raises.
     batch = paths.sample_wiener(4000, 0.1, 1.0, 0, n_paths=2)
-    with pytest.raises(fock.NumericalDomainError):
-        paths.closed_form_hc(batch)
+    got = paths.closed_form_hc(batch)
+    want = _recursion_endpoint(batch)
+    for name in ("nu", "mu", "z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.all(np.isfinite(a))
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
     with pytest.raises(fock.NumericalDomainError):
         paths.closed_form_cartan(batch)
 
@@ -182,6 +217,10 @@ def test_refine_path_preserves_record():
     assert fine.n_steps == 4 * path.n_steps
     sums = fine.increments.reshape(40, 4).sum(axis=1)
     assert np.max(np.abs(sums - path.increments)) <= 1e-15
+    batch = paths.sample_wiener(40, 1e-3, 1.0, seed=15, n_paths=3)
+    fine = paths.refine_path(batch, 4, seed=16)
+    sums = fine.increments.reshape(3, 40, 4).sum(axis=-1)
+    assert np.max(np.abs(sums - batch.increments)) <= 1e-15
 
 
 def test_refine_path_rejects_factor_one():
