@@ -85,8 +85,12 @@ def _rng(seed, stream=0):
 
 
 def _complex_normal(rng, shape, dt):
-    """Complex Gaussians of shape `shape`, real and imaginary parts i.i.d.
-    N(0, dt/2), from one real draw viewed as interleaved (re, im) pairs."""
+    """Complex Gaussians of shape `shape` with <|x|^2> = dt.
+
+    One real standard-normal draw with the last axis doubled, scaled in
+    place and viewed as interleaved (re, im) pairs, so the real and
+    imaginary parts are i.i.d. N(0, dt/2).
+    """
     x = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
     x *= np.sqrt(dt / 2)
     return x.view(complex)
@@ -222,9 +226,8 @@ def _block_weights(rho, n):
     rho^j, its weights from its start.  Every entry is at most 1.
     """
     j = np.arange(n)
-    lag = j[:, None] - j[None, :] - 1
     w = np.empty((n, n + 2))
-    w[:, :n] = np.where(lag >= 0, rho ** np.maximum(lag, 0), 0.0)
+    w[:, :n] = np.tril(rho ** np.abs(j[:, None] - j - 1), -1)
     w[j, j] = 0.5
     w[:, n] = rho ** (n - 1 - j)
     w[:, n + 1] = rho ** j
@@ -284,8 +287,7 @@ def closed_form_hc(path):
 
     start = np.arange(0, N, _BLOCK)
     last = np.minimum(start + _BLOCK, N) - 1
-    lag = last[:, None] - last[None, :]
-    state = ends @ np.where(lag >= 0, rho ** np.maximum(lag, 0), 0.0).T
+    state = ends @ np.tril(rho ** np.abs(last[:, None] - last)).T
     root = np.sqrt(kappa)
     nu = root * state[..., -1]
     mu = root * (sums.conj() @ rho ** start)
