@@ -233,6 +233,19 @@ OBSERVABLES = {
 }
 
 
+def _weight_exp_neg_2ell(end):
+    f_gauge, _ = group.gauge_functions(end)
+    return np.exp(-2 * (end.s - f_gauge))
+
+
+#: Per-path weights of `feynman_kac_estimate`, from the HC endpoint.
+_WEIGHTS = {
+    "none": lambda end: np.ones(np.shape(end.nu)),
+    "exp_neg_2s": lambda end: np.exp(-2 * end.s),
+    "exp_neg_2ell": _weight_exp_neg_2ell,
+}
+
+
 def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
                          seed, chunk=20000):
     """Weighted path-expectation Monte Carlo with standard error.
@@ -250,6 +263,9 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         Monte Carlo size and path parameters; all randomness derives
         from `seed`.  Chunk j of `chunk` paths draws from substream j,
         so the result depends on the chunking as well as on the seed.
+        Each chunk goes through `paths.sample_endpoints`, so memory is
+        O(`paths._PATH_BLOCK` N) for the records plus O(`chunk`) for
+        the endpoints, whatever the chunk size.
 
     Returns
     -------
@@ -258,33 +274,28 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         sample size sum(w)/max(w).  With weight "none" this is the
         plain expectation of the observable; with a weight and
         observable "one" it estimates the weight's normalization.
+
+    Raises ValueError, before drawing anything, for an unknown measure,
+    weight or observable name.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if measure not in ("plain", "modified"):
+        raise ValueError(f"unknown measure {measure!r}")
+    if weight not in _WEIGHTS:
+        raise ValueError(f"unknown weight {weight!r}")
+    if isinstance(observable, str) and observable not in OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}")
     func = OBSERVABLES[observable] if isinstance(observable, str) else observable
-    sampler = {"plain": paths.sample_wiener,
-               "modified": paths.sample_modified}[measure]
+    weigh = _WEIGHTS[weight]
 
     w_parts, f_parts = [], []
-    start = 0
-    stream = 0
-    while start < n_paths:
+    for stream, start in enumerate(range(0, n_paths, chunk)):
         size = min(chunk, n_paths - start)
-        batch = sampler(N, dt, kappa, seed, n_paths=size, stream=stream)
-        end = paths.closed_form_hc(batch)
-        if weight == "none":
-            w = np.ones(size)
-        elif weight == "exp_neg_2s":
-            w = np.exp(-2 * end.s)
-        elif weight == "exp_neg_2ell":
-            f_gauge, _ = group.gauge_functions(end)
-            w = np.exp(-2 * (end.s - f_gauge))
-        else:
-            raise ValueError(f"unknown weight {weight!r}")
-        w_parts.append(w)
+        end = paths.sample_endpoints(measure, N, dt, kappa, seed, size,
+                                     stream=stream)
+        w_parts.append(weigh(end))
         f_parts.append(np.asarray(func(end.nu, end.mu), dtype=float))
-        start += size
-        stream += 1
 
     w = np.concatenate(w_parts)
     f = np.concatenate(f_parts)

@@ -11,6 +11,7 @@ Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
 """
 
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "Trajectory",
     "sample_wiener",
     "sample_modified",
+    "sample_endpoints",
     "propagate_sde",
     "closed_form_hc",
     "closed_form_cartan",
@@ -31,6 +33,12 @@ __all__ = [
 
 #: Steps per block in the blocked evaluation of `closed_form_hc`.
 _BLOCK = 32
+
+#: Paths per row block that `sample_endpoints` draws and reduces.
+_PATH_BLOCK = 256
+
+#: The one worker thread of `sample_endpoints`, made on first use.
+_reducer = None
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,23 @@ def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
+def _draw_rows(rng, kernel, rows, N, dt):
+    """The next `rows` paths of N increments from the generator `rng`.
+
+    With `kernel` None the increments are plain (`_complex_normal`).
+    Otherwise they follow the modified measure of that kernel: each
+    path takes two consecutive white rows, its real then its imaginary
+    part, correlated by `kernel.correlate` and scaled by sqrt(dt/2).
+    Generator fills are sequential, so successive calls reproduce one
+    call for all the rows.
+    """
+    if kernel is None:
+        return _complex_normal(rng, (rows, N), dt)
+    x = kernel.correlate(rng.standard_normal((2 * rows, N)))
+    x *= np.sqrt(dt / 2)
+    return x[0::2] + 1j * x[1::2]
+
+
 def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     """Draw increments under the modified (correlated) Gaussian measure.
 
@@ -121,8 +146,10 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     goes through the kernel's O(N) factor M^-1 = F F^T with
     F = D^T U^-1 (`moments.Kernel.correlate`): x = sqrt(dt/2) F z for
     white z, one bidiagonal solve and one bidiagonal product per path.
-    Raises `moments.RegimeError` where the kernel is not positive
-    definite.
+    The white rows are drawn path by path, each path's real row
+    directly followed by its imaginary row, so that a draw can be cut
+    into blocks of paths (`sample_endpoints`).  Raises
+    `moments.RegimeError` where the kernel is not positive definite.
     """
     from . import moments
 
@@ -130,13 +157,61 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
         raise ValueError("need at least one increment")
     kernel = moments.build_kernel(N, dt, kappa)
     cols = 1 if n_paths is None else n_paths
-    z = _rng(seed, stream).standard_normal((2 * cols, N))
-    x = kernel.correlate(z)
-    x *= np.sqrt(dt / 2)
-    dw = x[:cols] + 1j * x[cols:]
+    dw = _draw_rows(_rng(seed, stream), kernel, cols, N, dt)
     if n_paths is None:
         dw = dw[0]
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
+
+
+def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
+    """HC endpoints of `n_paths` records, without holding the records.
+
+    Returns what `closed_form_hc` gives for `sample_wiener` (measure
+    "plain") or `sample_modified` (measure "modified") called with the
+    same arguments.  The records are drawn in blocks of `_PATH_BLOCK`
+    paths from the one generator of (seed, stream); a worker thread
+    reduces each block to its endpoints while the next block is drawn
+    (the generator fill and the GEMMs release the GIL).  Memory is
+    O(`_PATH_BLOCK` N) for the blocks in flight plus the endpoints.
+    """
+    from . import moments
+
+    if N < 1:
+        raise ValueError("need at least one increment")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    if measure == "plain":
+        kernel = None
+    elif measure == "modified":
+        kernel = moments.build_kernel(N, dt, kappa)
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    global _reducer
+    if _reducer is None:
+        _reducer = futures.ThreadPoolExecutor(1)
+
+    rng = _rng(seed, stream)
+    ends = np.empty((3, n_paths), dtype=complex)
+    job = None
+    try:
+        for start in range(0, n_paths, _PATH_BLOCK):
+            rows = min(_PATH_BLOCK, n_paths - start)
+            dw = _draw_rows(rng, kernel, rows, N, dt)
+            if job is not None:
+                job.result()
+            job = _reducer.submit(_reduce_rows, dw, kappa, dt,
+                                  ends[:, start:start + rows])
+    finally:
+        if job is not None:
+            futures.wait([job])
+    job.result()
+    nu, z, mu = ends
+    return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
+
+
+def _reduce_rows(dw, kappa, dt, out):
+    """Write the (nu, z, mu) sums of the records `dw` into `out`."""
+    out[...] = _hc_sums(dw, kappa, dt)
 
 
 def propagate_sde(path, chart="hc"):
@@ -262,10 +337,19 @@ def closed_form_hc(path):
     sums stay finite at any kappa T.
     """
     dw = np.asarray(path.increments, dtype=complex)
-    kappa, dt = path.kappa, path.dt
+    nu, z, mu = _hc_sums(dw, path.kappa, path.dt)
+    return group.HCCoords(nu=nu, r=2 * path.kappa * path.dt * dw.shape[-1],
+                          z=z, mu=mu)
+
+
+def _hc_sums(dw, kappa, dt):
+    """(nu, z, mu) of `closed_form_hc` for the complex increments `dw`.
+
+    Calls no public function, so that `sample_endpoints` can run it on
+    its worker thread.
+    """
     N = dw.shape[-1]
-    decay = 2 * kappa * dt
-    rho = np.exp(-decay)
+    rho = np.exp(-2 * kappa * dt)
     n_full, tail = divmod(N, _BLOCK)
     blocks = []
     if n_full:
@@ -293,39 +377,25 @@ def closed_form_hc(path):
     mu = root * (sums.conj() @ rho ** start)
     z = kappa * (local + np.einsum("...j,...j->...", sums[..., 1:],
                                    state[..., :-1]))
-    return group.HCCoords(nu=nu, r=decay * N, z=z, mu=mu)
+    return nu, z, mu
 
 
 def closed_form_cartan(path):
-    """Endpoint Cartan coordinates as stochastic-integral sums.
+    """Endpoint Cartan coordinates of the record.
 
-    beta and alpha are the sinh-kernel combinations of the HC sums
-    (recent/early increments weighted by cosh-type kernels), and the
-    center follows from the gauge functions: ell = s - f, phi = psi - xi.
-    Agrees with hc_to_cartan(closed_form_hc(path)) to floating-point
-    accuracy; requires at least one step (the chart is singular at T=0).
-    Raises `fock.NumericalDomainError` where e^r overflows (r = 2 kappa T
+    The Cartan transform of the HC endpoint,
+    hc_to_cartan(closed_form_hc(path)): beta and alpha are the
+    sinh-kernel combinations of the HC sums nu and mu, and the center
+    follows from the gauge functions, ell = s - f, phi = psi - xi.
+    Requires at least one step (the chart is singular at T=0).  Raises
+    `fock.NumericalDomainError` where e^r overflows (r = 2 kappa T
     above about 709).
     """
-    dw = np.asarray(path.increments)
-    kappa, dt = path.kappa, path.dt
-    N = dw.shape[-1]
-    k = np.arange(N)
-    r = 2 * kappa * dt * N
+    r = 2 * path.kappa * path.dt * np.shape(path.increments)[-1]
     if r > np.log(np.finfo(float).max):
         raise fock.NumericalDomainError(
             f"closed_form_cartan overflows at 2 kappa T = {r:.1f}")
-    hc = closed_form_hc(path)
-    denom = 2 * np.sinh(r)
-    root = np.sqrt(kappa)
-    w_recent = np.exp(-2 * kappa * dt * (N - 1 - k))
-    w_early = np.exp(-2 * kappa * dt * k)
-    beta = root * np.sum(dw * (np.exp(r) * w_recent + w_early), axis=-1) / denom
-    alpha = root * np.sum(dw * (np.exp(r) * w_early + w_recent), axis=-1) / denom
-
-    f, xi = group.gauge_functions(hc)
-    return group.CartanCoords(beta=beta, phi=hc.psi - xi, r=r,
-                              ell=hc.s - f, alpha=alpha)
+    return group.hc_to_cartan(closed_form_hc(path))
 
 
 def kraus_time_ordered(path, dim):

@@ -138,7 +138,9 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     distance to the dense channel exponential and the trace
     preservation statistics.  Records come in batches of
     `CHANNEL_CHUNK` paths, batch j from substream j of `seed`, so the
-    result depends on that chunking as well as on the seed.
+    result depends on that chunking as well as on the seed.  Each batch
+    is reduced to its endpoints by `paths.sample_endpoints`, so the
+    records take O(`paths._PATH_BLOCK` N) memory.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
@@ -164,9 +166,9 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     traces = []
     for stream, start in enumerate(range(0, n_paths, CHANNEL_CHUNK)):
         size = min(CHANNEL_CHUNK, n_paths - start)
-        batch = paths.sample_wiener(N, dt, 1.0, seed, n_paths=size,
-                                    stream=stream)
-        v = group.represent(paths.closed_form_hc(batch), dim) @ factor
+        ends = paths.sample_endpoints("plain", N, dt, 1.0, seed, size,
+                                      stream=stream)
+        v = group.represent(ends, dim) @ factor
         rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
         traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)
     rho_mc /= n_paths

@@ -338,7 +338,7 @@ def run_check(number):
         if num == number:
             start = time.perf_counter()
             passed, detail = func()
-            return CheckResult(number=num, name=name, passed=passed,
+            return CheckResult(number=num, name=name, passed=bool(passed),
                                detail=detail,
                                elapsed=time.perf_counter() - start)
     raise ValueError(f"no check numbered {number}")

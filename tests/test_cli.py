@@ -113,3 +113,15 @@ def test_verify_exit_codes(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(verify, "run_all", lambda: [
         verify.CheckResult(1, "stub pass", True, "ok", 0.0)])
     assert cli.main(["verify"]) == 0
+
+
+def test_verify_json_output(monkeypatch, tmp_path):
+    # A check may hand back a numpy bool; the JSON rows must still
+    # serialize.  One stubbed check keeps the full suite out of it.
+    monkeypatch.setattr(verify, "CHECKS", [
+        (1, "stub numpy pass", lambda: (np.True_, "ok"))])
+    out = tmp_path / "verify.jsonl"
+    assert cli.main(["verify", "--out", str(out), "--format", "json"]) == 0
+    _, rows = _read_output(out)
+    row = json.loads(rows[0])
+    assert row["passed"] is True and row["name"] == "stub numpy pass"

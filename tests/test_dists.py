@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spqm import dists, moments
+from spqm import dists, moments, paths
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -174,4 +174,38 @@ def test_feynman_kac_ess_collapse_warns():
 def test_feynman_kac_rejects_empty():
     with pytest.raises(ValueError):
         dists.feynman_kac_estimate("plain", "none", "one", n_paths=0,
+                                   N=10, dt=1e-3, kappa=1.0, seed=0)
+
+
+def test_feynman_kac_equals_sample_then_reduce():
+    # Two chunks (600 and 400 paths), each streamed in several blocks.
+    n_paths, chunk, N, dt = 1000, 600, 60, 1e-3
+    est = dists.feynman_kac_estimate("plain", "exp_neg_2s", "nu_abs2",
+                                     n_paths, N, dt, 1.0, 23, chunk=chunk)
+    wf = []
+    for stream, start in enumerate(range(0, n_paths, chunk)):
+        size = min(chunk, n_paths - start)
+        batch = paths.sample_wiener(N, dt, 1.0, 23, n_paths=size,
+                                    stream=stream)
+        end = paths.closed_form_hc(batch)
+        wf.append(np.exp(-2 * end.s) * np.abs(end.nu) ** 2)
+    wf = np.concatenate(wf)
+    assert abs(est.mean - wf.mean()) <= 1e-15 * abs(wf.mean())
+    want_se = wf.std(ddof=1) / np.sqrt(n_paths)
+    assert abs(est.stderr - want_se) <= 1e-14 * want_se
+
+
+@pytest.mark.parametrize("measure, weight, observable", [
+    ("uniform", "none", "one"),
+    ("plain", "exp_neg_2x", "one"),
+    ("modified", "none", "nu_abs3"),
+])
+def test_feynman_kac_validates_before_drawing(monkeypatch, measure, weight,
+                                              observable):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(paths, "sample_endpoints", refuse)
+    with pytest.raises(ValueError, match="unknown"):
+        dists.feynman_kac_estimate(measure, weight, observable, n_paths=10,
                                    N=10, dt=1e-3, kappa=1.0, seed=0)

@@ -150,11 +150,22 @@ def test_determinant_step_ratio_identity():
 
 
 class _BasisDraws:
-    """Stands in for the generator: the white rows are unit vectors."""
+    """Stands in for the generator: the white rows are unit vectors.
+
+    Successive draws, across calls, hand out the rows of the identity
+    with every row stacked twice, so path k's real and imaginary white
+    rows (drawn one after the other) are both the k-th unit vector.
+    """
+
+    def __init__(self):
+        self.used = 0
 
     def standard_normal(self, size):
         rows, n = size
-        return np.tile(np.eye(n), (rows // n, 1))
+        basis = np.repeat(np.eye(n), 2, axis=0)
+        out = basis[self.used:self.used + rows]
+        self.used += rows
+        return out
 
 
 @pytest.mark.parametrize("N, dt", [(200, 0.01), (1000, 1e-3)])

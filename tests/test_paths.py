@@ -1,5 +1,7 @@
 """Tests for path sampling, SDE integration, and the Kraus product."""
 
+from concurrent import futures
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,86 @@ def test_closed_form_cartan_zero_path():
     assert end.beta == 0 and end.alpha == 0
     assert end.ell == 0 and end.phi == 0
     assert abs(end.r - 0.6) <= 1e-12
+
+
+SAMPLERS = {"plain": paths.sample_wiener, "modified": paths.sample_modified}
+
+
+@pytest.mark.parametrize("N", [1, 33, 1000])
+@pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 2500])
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_sample_endpoints_matches_sampled_records(measure, n_paths, N):
+    # Blocks of 256 paths: one short block, one short of a block, one
+    # exact block, a block plus one path, and many blocks plus a tail.
+    got = paths.sample_endpoints(measure, N, 1e-3, 1.0, 7, n_paths, stream=3)
+    want = paths.closed_form_hc(SAMPLERS[measure](N, 1e-3, 1.0, 7,
+                                                  n_paths=n_paths, stream=3))
+    assert got.r == want.r
+    for name in ("nu", "mu", "z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape == (n_paths,)
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+class _RecordingPool(futures.ThreadPoolExecutor):
+    """A one-thread pool that keeps every job it was handed."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.jobs = []
+
+    def submit(self, *args, **kwargs):
+        job = super().submit(*args, **kwargs)
+        self.jobs.append(job)
+        return job
+
+
+def test_sample_endpoints_worker_error_propagates(monkeypatch):
+    reduce, calls = paths._hc_sums, []
+
+    def fail_on_second_block(dw, kappa, dt):
+        calls.append(dw.shape[0])
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return reduce(dw, kappa, dt)
+
+    pool = _RecordingPool()
+    monkeypatch.setattr(paths, "_reducer", pool)
+    monkeypatch.setattr(paths, "_hc_sums", fail_on_second_block)
+    with pytest.raises(RuntimeError, match="second block"):
+        paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 1000)
+    assert len(pool.jobs) == 2 and all(job.done() for job in pool.jobs)
+
+    monkeypatch.setattr(paths, "_hc_sums", reduce)
+    got = paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 1000)
+    want = paths.closed_form_hc(paths.sample_wiener(40, 1e-3, 1.0, 2,
+                                                    n_paths=1000))
+    for name in ("nu", "mu", "z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+    pool.shutdown()
+
+
+def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
+    # The worker thread may call no traced (public) function, so the
+    # whole streamed cost stays inside the span of sample_endpoints.
+    want = {m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
+            for m in SAMPLERS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("public function called")
+
+    for name in ("closed_form_hc", "sample_wiener", "sample_modified"):
+        monkeypatch.setattr(paths, name, refuse)
+    for measure, end in want.items():
+        got = paths.sample_endpoints(measure, 50, 1e-3, 1.0, 4, 600)
+        for name in ("nu", "mu", "z"):
+            assert np.array_equal(getattr(got, name), getattr(end, name))
+
+
+def test_sample_endpoints_rejects_unknown_measure():
+    with pytest.raises(ValueError, match="measure"):
+        paths.sample_endpoints("uniform", 10, 1e-3, 1.0, 0, 5)
 
 
 def test_ito_isometry_plain_measure():
