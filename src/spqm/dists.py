@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import group, paths
+from . import fock, group, paths
 
 __all__ = [
     "OffShellError",
@@ -69,9 +69,7 @@ class ReducedPoint:
 
     @classmethod
     def from_hc(cls, r, nu, mu):
-        denom = 2 * np.sinh(r)
-        return cls(r=r, beta=(np.exp(r) * nu + mu) / denom,
-                   alpha=(np.exp(r) * mu + nu) / denom)
+        return cls(r, *group.coset_pair(r, nu, mu))
 
     @property
     def nu(self):
@@ -276,7 +274,8 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         observable "one" it estimates the weight's normalization.
 
     Raises ValueError, before drawing anything, for an unknown measure,
-    weight or observable name.
+    weight or observable name, and `fock.NumericalDomainError` when a
+    path weight overflows.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -294,13 +293,15 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         size = min(chunk, n_paths - start)
         end = paths.sample_endpoints(measure, N, dt, kappa, seed, size,
                                      stream=stream)
-        w_parts.append(weigh(end))
+        with np.errstate(over="ignore"):  # overflow raises below
+            w_parts.append(weigh(end))
         f_parts.append(np.asarray(func(end.nu, end.mu), dtype=float))
 
     w = np.concatenate(w_parts)
     f = np.concatenate(f_parts)
     if not np.all(np.isfinite(w)):
-        raise ValueError("path weights overflowed; reduce kappa*T")
+        raise fock.NumericalDomainError(
+            "path weights overflowed; reduce kappa*T")
     ess = w.sum() / w.max()
     if ess < 100:
         warnings.warn(f"effective sample size collapsed to {ess:.1f}; "

@@ -2,13 +2,14 @@
 
 All operators are dense complex matrices on the truncated number basis
 |0>, ..., |dim-1>.  The truncation dimension is always an explicit
-argument; there is no hidden default.  Comparisons that must tolerate
-the truncation artifact in the bottom rows are restricted to the
-top-left "interior" block of size ``interior_dim(dim)``, except for
-the ladder exponential exp(c a_dag), whose finite series is exact.
+argument.  Group elements go through the ladder exponential
+exp(c a_dag), whose finite series is exact; comparisons with the dense
+routes, which carry a truncation artifact in the bottom rows, use the
+top-left "interior" block of size ``interior_dim(dim)``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -94,12 +95,12 @@ def canonical_operators(dim):
 
 
 def displacement_operator(dim, alpha):
-    """Displacement operator D_alpha = exp(a_dag*alpha - a*conj(alpha)).
+    """Dense D_alpha = exp(a_dag*alpha - a*conj(alpha)), a test oracle.
 
-    Exactly unitary at any truncation (the truncated exponent stays
-    anti-Hermitian), but it only acts like the untruncated displacement
-    on states whose displaced support stays well inside the basis;
-    keep |alpha|^2 small relative to dim.  `alpha` is one scalar.
+    `group.represent` gives group elements exactly.  This one is unitary
+    at any truncation, but only acts like the untruncated displacement
+    on states whose displaced support stays well inside the basis; keep
+    |alpha|^2 small relative to dim.  `alpha` is one scalar.
     """
     if np.ndim(alpha):
         raise ValueError("displacement_operator takes one alpha at a time")
@@ -124,6 +125,17 @@ def matrix_exponential(x):
     return scipy.linalg.expm(x)
 
 
+@lru_cache(maxsize=64)
+def _ladder_tables(dim):
+    """Read-only power index max(m - n, 0) and coefficients (0 above)."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    m, n = np.indices((dim, dim))
+    k = np.maximum(m - n, 0)
+    coeff = np.tril(np.exp(0.5 * (log_fact[m] - log_fact[n]) - log_fact[k]))
+    k.flags.writeable = coeff.flags.writeable = False
+    return k, coeff
+
+
 def ladder_exponential(dim, c):
     """exp(c a_dag), batched over `c`: shape c.shape + (dim, dim).
 
@@ -134,11 +146,11 @@ def ladder_exponential(dim, c):
     c = np.asarray(c)
     if not np.all(np.isfinite(c)):
         raise NumericalDomainError("ladder exponential of non-finite input")
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    m, n = np.tril_indices(dim)
-    coeff = np.exp(0.5 * (log_fact[m] - log_fact[n]) - log_fact[m - n])
-    out = np.zeros(c.shape + (dim, dim), dtype=complex)
-    out[..., m, n] = coeff * c[..., None] ** (m - n)
+    k, coeff = _ladder_tables(dim)
+    powers = np.ones(c.shape + (dim,), dtype=complex)
+    powers[..., 1:] = c[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = coeff * np.cumprod(powers, axis=-1)[..., k]
     if not np.all(np.isfinite(out)):
         raise NumericalDomainError("ladder exponential overflowed")
     return out

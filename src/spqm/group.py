@@ -112,9 +112,10 @@ def gauge_functions(coords):
     if isinstance(coords, HCCoords):
         u = coords.nu + coords.mu
         v = coords.nu - coords.mu
-        f = (np.abs(u) ** 2 / (4 * (1 - np.exp(-r)))
+        f = (np.abs(u) ** 2 / (-4 * np.expm1(-r))
              + np.abs(v) ** 2 / (4 * (1 + np.exp(-r))))
-        xi = np.imag(np.conj(coords.nu) * coords.mu) / (2 * np.sinh(r))
+        xi = (np.imag(np.conj(coords.nu) * coords.mu) * np.exp(-r)
+              / -np.expm1(-2 * r))
         return GaugePair(f, xi)
     beta, alpha = coords.beta, coords.alpha
     f = (0.5 * (np.abs(beta) ** 2 + np.abs(alpha) ** 2)
@@ -123,12 +124,19 @@ def gauge_functions(coords):
     return GaugePair(f, xi)
 
 
+def coset_pair(r, nu, mu):
+    """Cartan (beta, alpha) = ((nu, mu) + e^{-r} (mu, nu)) / (1 - e^{-2r}).
+
+    Decaying factors only, so the pair stays finite at any r > 0.
+    """
+    decay, denom = np.exp(-r), -np.expm1(-2 * r)
+    return (nu + decay * mu) / denom, (mu + decay * nu) / denom
+
+
 def hc_to_cartan(x):
     """Transform Harish-Chandra to Cartan coordinates (requires r > 0)."""
     _require_regular(x.r)
-    denom = 2 * np.sinh(x.r)
-    beta = (np.exp(x.r) * x.nu + x.mu) / denom
-    alpha = (np.exp(x.r) * x.mu + x.nu) / denom
+    beta, alpha = coset_pair(x.r, x.nu, x.mu)
     f, xi = gauge_functions(x)
     return CartanCoords(beta=beta, phi=x.psi - xi, r=x.r,
                         ell=x.s - f, alpha=alpha)
@@ -136,7 +144,6 @@ def hc_to_cartan(x):
 
 def cartan_to_hc(y):
     """Transform Cartan to Harish-Chandra coordinates (requires r > 0)."""
-    _require_regular(y.r)
     nu = y.beta - np.exp(-y.r) * y.alpha
     mu = y.alpha - np.exp(-y.r) * y.beta
     f, xi = gauge_functions(y)
@@ -147,34 +154,24 @@ def cartan_to_hc(y):
 def represent(x, dim):
     """Fock-space representation matrix of a group element.
 
-    HC input gives exp(a_dag nu) exp(-Ho r + z) exp(a conj(mu)) from the
-    finite ladder series: triangular x diagonal x triangular, exact
-    under truncation and batched over array coordinates; it raises
-    `fock.NumericalDomainError` where a coordinate is not finite or the
-    diagonal factor overflows.  Cartan input gives
-    D_beta exp(i phi) exp(-Ho r - ell) D_alpha_dag for one element at a
-    time.  The two forms of the same element agree on the interior
-    block.
+    exp(a_dag nu) exp(-Ho r + z) exp(a conj(mu)), triangular x diagonal x
+    triangular from the finite ladder series (Cartan input goes through
+    `cartan_to_hc`): exact under truncation and batched over array
+    coordinates.  Raises `fock.NumericalDomainError` where a coordinate
+    is not finite or the diagonal factor overflows.
     """
+    if isinstance(x, CartanCoords):
+        x = cartan_to_hc(x)
     levels = np.arange(dim) + 0.5
-    if isinstance(x, HCCoords):
-        left = fock.ladder_exponential(dim, x.nu)
-        right = np.swapaxes(fock.ladder_exponential(dim, x.mu).conj(), -1, -2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            middle = np.exp(-levels * np.expand_dims(x.r, -1)
-                            + np.expand_dims(x.z, -1))
-        if not np.all(np.isfinite(middle)):
-            raise fock.NumericalDomainError(
-                "represent: r or z is not finite, or exp(-Ho r + z) "
-                "overflows")
-        return (left * middle[..., None, :]) @ right
-    if any(np.ndim(v) for v in (x.beta, x.phi, x.r, x.ell, x.alpha)):
-        raise ValueError("represent takes one Cartan element at a time")
-    _require_regular(x.r)
-    d_beta = fock.displacement_operator(dim, x.beta)
-    d_alpha = fock.displacement_operator(dim, x.alpha)
-    middle = np.diag(np.exp(-levels * x.r - x.ell + 1j * x.phi))
-    return d_beta @ middle @ d_alpha.conj().T
+    left = fock.ladder_exponential(dim, x.nu)
+    right = np.swapaxes(fock.ladder_exponential(dim, x.mu).conj(), -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        middle = np.exp(-levels * np.expand_dims(x.r, -1)
+                        + np.expand_dims(x.z, -1))
+    if not np.all(np.isfinite(middle)):
+        raise fock.NumericalDomainError(
+            "represent: r or z is not finite, or exp(-Ho r + z) overflows")
+    return (left * middle[..., None, :]) @ right
 
 
 def increment_left_multiply(x, dw, kappa, dt):
@@ -200,11 +197,15 @@ def haar_density(coords):
 
     Cartan: sinh(r)^2 / pi^2 against dphi dell d2beta dr d2alpha.
     HC: exp(2r) / (2 pi)^2 against dpsi ds d2nu dr d2mu.
+    Raises `fock.NumericalDomainError` where it overflows (r above ~355).
     """
-    if isinstance(coords, CartanCoords):
-        _require_regular(coords.r)
-        return np.sinh(coords.r) ** 2 / np.pi ** 2
-    return np.exp(2 * coords.r) / (2 * np.pi) ** 2
+    with np.errstate(over="ignore"):
+        density = (np.sinh(coords.r) ** 2 / np.pi ** 2
+                   if isinstance(coords, CartanCoords)
+                   else np.exp(2 * coords.r) / (2 * np.pi) ** 2)
+    if not np.all(np.isfinite(density)):
+        raise fock.NumericalDomainError("Haar density overflows at this r")
+    return density
 
 
 # Real coordinate vectors.  Complex coordinates carry the
@@ -281,7 +282,6 @@ def frame_derivative_generator(x, direction, dim):
             "mu2": er * (-1j * ops.a / _SQRT2 + 0.5 * (-nu2 + 1j * nu1) * eye),
         }
         return table[direction]
-    _require_regular(x.r)
     b1, b2 = _split(x.beta)
     a1, a2 = _split(x.alpha)
     ch, sh = np.cosh(x.r), np.sinh(x.r)

@@ -252,20 +252,18 @@ def propagate_sde(path, chart="hc"):
     for k in range(1, N):
         r_next = r + 2 * kappa * dt
         root = np.sqrt(kappa) * dw[k]
-        sinh_r, sinh_next = np.sinh(r), np.sinh(r_next)
         u, v = np.exp(-r), np.exp(-r_next)
-
-        beta_next = (beta * sinh_r / sinh_next
-                     + root * (np.exp(r_next) + u) / (2 * sinh_next))
-        alpha_next = (alpha - beta * np.sinh(2 * kappa * dt) / sinh_next
-                      + root * (np.exp(2 * kappa * dt) + 1) / (2 * sinh_next))
+        # 1/(2 sinh r) at r and at r_next, in decaying factors.
+        csch_r, csch_next = u / -np.expm1(-2 * r), v / -np.expm1(-2 * r_next)
+        nu = beta - u * alpha
+        mu = alpha - u * beta
+        beta_next, alpha_next = group.coset_pair(r_next, d * nu + root,
+                                                 mu + u * root)
 
         # The singular continuum kernels coth/csch(2 kappa t) appear in
         # the center increments through these discrete counterparts,
         # written in the phase-plane difference variables p = nu + mu,
         # m = nu - mu of the equivalent HC point.
-        nu = beta - u * alpha
-        mu = alpha - u * beta
         plus, minus = nu + mu, nu - mu
         plus_next = plus - (1 - d) * nu
         minus_next = minus - (1 - d) * nu
@@ -278,10 +276,9 @@ def propagate_sde(path, chart="hc"):
                  - np.abs(minus) ** 2 / (4 * (1 + u)))
         d_ell = -(coth_disc * kappa * np.abs(dw[k]) ** 2 + drift
                   + 2 * np.real(np.conj(b_noise) * root))
-        d_phi = (np.imag(nu * np.conj(root)) * (1 + d * u / (2 * sinh_next))
-                 - np.imag(mu * np.conj(root)) / (2 * sinh_next)
-                 - np.imag(np.conj(nu) * mu) * (d / (2 * sinh_next)
-                                                - 1 / (2 * sinh_r)))
+        d_phi = (np.imag(nu * np.conj(root)) * (1 + d * u * csch_next)
+                 - np.imag(mu * np.conj(root)) * csch_next
+                 - np.imag(np.conj(nu) * mu) * (d * csch_next - csch_r))
         beta, alpha = beta_next, alpha_next
         ell = ell + d_ell
         phi = phi + d_phi

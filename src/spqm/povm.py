@@ -4,11 +4,11 @@ The measurement's POVM elements at time T integrate to the identity;
 the scalar core of that statement is the partition-function identity
 tr e^{-4 kappa T Ho} = 1/(2 sinh 2 kappa T).  This module checks the
 identity directly, performs the phase-space completeness integral by
-quadrature (angular sum by rotation covariance), compares a Monte Carlo
-average over the exact Kraus operators of record endpoints against the
-dense superoperator exponential of the total channel, and measures the
-late-time collapse of the POVM elements onto coherent state outer
-products.
+quadrature over the exact entries of the POVM elements (angular sum by
+rotation covariance), compares a Monte Carlo average over the exact
+Kraus operators of record endpoints against the dense superoperator
+exponential of the total channel, and measures the late-time collapse
+of the POVM elements onto coherent state outer products.
 """
 
 from dataclasses import dataclass, field
@@ -66,8 +66,7 @@ def partition_function_check(kT, dim):
     }
 
 
-def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64,
-                            alpha_sq_max=None):
+def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     """Deviation of the completeness integral from the identity.
 
     Evaluates 2 sinh(2kT) int (d2alpha/pi) D_a e^{-4kT Ho} D_a_dag by
@@ -75,42 +74,26 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64,
     uniform angular grid, and returns the operator-norm deviation from
     the identity on the top-left dim/2 block.
 
-    D(r e^{i th}) = e^{i th n} D(r) e^{-i th n}, also when truncated, so
-    the mean over the angular grid keeps the entries (m, n) of the
-    radial term with m - n = 0 mod angular_nodes: one exponential per
-    radial node.
-
-    The quadrature runs in a padded workspace of twice 'alpha_sq_max'
-    levels (default cap 2 dim, so a 4x padding): a displacement by
-    alpha is only faithful on a truncation holding the displaced
-    states, roughly |alpha|^2 + a few standard deviations sqrt|alpha|^2
-    levels.  Radial nodes beyond the cap are dropped; their true
-    contribution to the reported block is exponentially small, while
-    their truncated evaluation would be pure junk.
+    The POVM elements are the Cartan elements (alpha, 0, 4kT, 0, alpha),
+    one batched `group.represent` over the radial nodes, exact at any
+    truncation: the top dim/2 block at 2 dim is the whole block at dim.
+    Their HC center carries exactly e^{-u}; setting ell = -u adds u to
+    z, which leaves that factor to the Gauss-Laguerre weight.
+    D(r e^{i th}) = e^{i th n} D(r) e^{-i th n}, so the angular mean
+    keeps the entries (m, n) with m - n = 0 mod angular_nodes.
     """
     if kT <= 0:
         raise ValueError("need kT > 0")
-    c = 1 - np.exp(-4 * kT)
-    if alpha_sq_max is None:
-        alpha_sq_max = 2.0 * dim
-    dim_work = max(dim, int(np.ceil(2 * alpha_sq_max)))
+    c = -np.expm1(-4 * kT)
     nodes, weights = np.polynomial.laguerre.laggauss(radial_nodes)
-    keep = nodes / c <= alpha_sq_max
-    nodes, weights = nodes[keep], weights[keep]
-
-    levels = np.arange(dim_work) + 0.5
-    core = np.diag(np.exp(-4 * kT * levels))
-    total = np.zeros((dim_work, dim_work), dtype=complex)
-    for u, w in zip(nodes, weights):
-        d = fock.displacement_operator(dim_work, np.sqrt(u / c))
-        # Gauss-Laguerre supplies the e^{-u} factor that the true
-        # integrand carries inside d @ core @ d_dag, so weight by w e^u.
-        total += (w * np.exp(u)) * (d @ core @ d.conj().T)
-    lag = np.subtract.outer(levels, levels)
+    alpha = np.sqrt(nodes / c)
+    elements = group.represent(group.CartanCoords(
+        beta=alpha, phi=0.0, r=4 * kT, ell=-nodes, alpha=alpha), dim)
+    total = np.tensordot(weights, elements, axes=1)
+    lag = np.subtract.outer(np.arange(dim), np.arange(dim))
     total *= (lag % angular_nodes == 0) * (2 * np.sinh(2 * kT) / c)
     half = dim // 2
-    deviation = total[:half, :half] - np.eye(half)
-    return np.linalg.norm(deviation, ord=2)
+    return np.linalg.norm(total[:half, :half] - np.eye(half), ord=2)
 
 
 def channel_superoperator(kT, dim):
@@ -190,15 +173,14 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
 def late_time_coherent_residual(kT, beta, alpha, dim):
     """Distance of e^{kT} D_b e^{-2kT Ho} D_a_dag from |beta><alpha|.
 
-    At late times the POVM-bearing element collapses onto a coherent
-    state outer product at rate e^{-2kT}; at beta = alpha = 0 the
-    residual is exactly the next Boltzmann factor e^{-2kT}.
+    The element (Cartan (beta, 0, 2kT, -kT, alpha)) and the coherent
+    vectors e^{-|c|^2/2} exp(c a_dag)|0> are exact under truncation.  At
+    late times the element collapses onto the outer product at rate
+    e^{-2kT}; at beta = alpha = 0 the residual is exactly e^{-2kT}.
     """
-    d_beta = fock.displacement_operator(dim, beta)
-    d_alpha = fock.displacement_operator(dim, alpha)
-    levels = np.arange(dim) + 0.5
-    element = d_beta @ np.diag(np.exp(kT - 2 * kT * levels)) @ d_alpha.conj().T
-    ground = np.zeros(dim)
-    ground[0] = 1.0
-    outer = np.outer(d_beta @ ground, np.conj(d_alpha @ ground))
-    return np.linalg.norm(element - outer, ord=2)
+    element = group.represent(group.CartanCoords(
+        beta=beta, phi=0.0, r=2 * kT, ell=-kT, alpha=alpha), dim)
+    pair = np.array([beta, alpha], dtype=complex)
+    ket, bra = (np.exp(-np.abs(pair) ** 2 / 2)[:, None]
+                * fock.ladder_exponential(dim, pair)[..., 0])
+    return np.linalg.norm(element - np.outer(ket, np.conj(bra)), ord=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spqm import dists, moments, paths
+from spqm import dists, fock, moments, paths
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -32,6 +32,13 @@ def test_reduced_point_charts_agree():
     back = dists.ReducedPoint.from_hc(point.r, point.nu, point.mu)
     assert abs(back.beta - point.beta) <= 1e-12
     assert abs(back.alpha - point.alpha) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [50.0, 400.0, 800.0])
+def test_reduced_point_from_hc_at_large_r(r):
+    point = dists.ReducedPoint.from_hc(r, 0.6 - 0.3j, -0.4 + 0.5j)
+    assert abs(point.nu - (0.6 - 0.3j)) <= 1e-15
+    assert abs(point.mu - (-0.4 + 0.5j)) <= 1e-15
 
 
 def test_off_shell_rejected():
@@ -169,6 +176,13 @@ def test_feynman_kac_ess_collapse_warns():
         dists.feynman_kac_estimate("plain", "exp_neg_2s", "one",
                                    n_paths=2000, N=40, dt=5e-2, kappa=1.0,
                                    seed=5)
+
+
+def test_feynman_kac_weight_overflow_is_typed():
+    # kappa T = 800: e^{-2s} overflows on every path.
+    with pytest.raises(fock.NumericalDomainError, match="overflowed"):
+        dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 50, 8000,
+                                   0.1, 1.0, 0)
 
 
 def test_feynman_kac_rejects_empty():

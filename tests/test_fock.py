@@ -120,6 +120,18 @@ def test_ladder_exponential_matches_dense():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_ladder_exponential_tables_are_shared_read_only():
+    c = 0.4 - 0.9j
+    first = fock.ladder_exponential(9, c)
+    first[:] = 0  # the caller's result is its own
+    again = fock.ladder_exponential(9, c)
+    assert np.max(np.abs(again - fock.ladder_exponential(9, [c])[0])) == 0
+    assert again[8, 0] != 0
+    for table in fock._ladder_tables(9):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 def test_ladder_exponential_rejects_nonfinite():
     for c in (np.nan, [0.1, np.inf]):
         with pytest.raises(fock.NumericalDomainError):

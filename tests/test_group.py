@@ -120,14 +120,28 @@ def test_represent_cross_decomposition():
 
 def test_represent_hc_is_truncation_exact():
     # Triangular x diagonal x triangular: the small truncation is the
-    # top-left block of the large one.  The Cartan form is not.
+    # top-left block of the large one, in either chart.
     x = group.HCCoords(nu=0.6 - 0.3j, r=0.7, z=0.2 + 0.4j, mu=-0.4 + 0.5j)
-    small, large = group.represent(x, 12), group.represent(x, 60)
-    assert np.max(np.abs(small - large[:12, :12])) <= 1e-14 * np.max(
-        np.abs(small))
-    y = group.hc_to_cartan(x)
-    small, large = group.represent(y, 12), group.represent(y, 60)
-    assert np.max(np.abs(small - large[:12, :12])) >= 1e-6
+    for point in (x, group.hc_to_cartan(x)):
+        small, large = group.represent(point, 12), group.represent(point, 60)
+        assert np.max(np.abs(small - large[:12, :12])) <= 1e-14 * np.max(
+            np.abs(small))
+
+
+@pytest.mark.parametrize("dim", [12, 40])
+def test_represent_cartan_matches_dense_displacements(dim):
+    # Oracle: D_beta e^{i phi - Ho r - ell} D_alpha_dag from dense
+    # displacements at dim 80, whose interior holds the small block.
+    big = 80
+    y = group.CartanCoords(beta=0.8 - 0.5j, phi=0.4, r=0.9, ell=-0.3,
+                           alpha=-0.6 + 0.7j)
+    middle = np.diag(np.exp(-(np.arange(big) + 0.5) * y.r - y.ell
+                            + 1j * y.phi))
+    dense = (fock.displacement_operator(big, y.beta) @ middle
+             @ fock.displacement_operator(big, y.alpha).conj().T)
+    got = group.represent(y, dim)
+    assert np.max(np.abs(got - dense[:dim, :dim])) <= 1e-13 * np.max(
+        np.abs(got))
 
 
 def test_represent_hc_batched_equals_scalar_calls():
@@ -152,15 +166,19 @@ def test_represent_hc_rejects_non_finite(r, z):
         group.represent(x, 3)
 
 
-def test_represent_cartan_is_scalar_only():
-    y = group.CartanCoords(beta=np.full(3, 0.1 + 0j), phi=0.0, r=0.5,
-                           ell=0.0, alpha=0j)
-    with pytest.raises(ValueError, match="one Cartan element"):
-        group.represent(y, 3)
-    y = group.CartanCoords(beta=0j, phi=np.zeros(3), r=0.5, ell=0.0,
-                           alpha=0j)
-    with pytest.raises(ValueError, match="one Cartan element"):
-        group.represent(y, 3)
+def test_represent_cartan_batched_equals_scalar_calls():
+    rng = np.random.default_rng(6)
+    beta = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    alpha = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    phi, ell = rng.normal(size=4), 0.3 * rng.normal(size=4)
+    r = rng.uniform(0.1, 2.0, size=4)
+    got = group.represent(group.CartanCoords(
+        beta=beta, phi=phi, r=r, ell=ell, alpha=alpha), 10)
+    want = np.stack([group.represent(group.CartanCoords(
+        beta=beta[i], phi=phi[i], r=r[i], ell=ell[i], alpha=alpha[i]), 10)
+        for i in range(4)])
+    assert got.shape == (4, 10, 10)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_povm_element_form():
@@ -217,6 +235,31 @@ def test_haar_density_values():
     assert abs(group.haar_density(y) - np.sinh(1.0) ** 2 / np.pi ** 2) <= 1e-12
     x = group.HCCoords(nu=0.0, r=0.0, z=0.0, mu=0.0)
     assert abs(group.haar_density(x) - 1 / (2 * np.pi) ** 2) <= 1e-16
+
+
+@pytest.mark.parametrize("r", [50.0, 400.0, 800.0])
+def test_chart_round_trips_at_large_r(r):
+    # The Cartan pair in decaying factors stays finite where e^r does not.
+    x = group.HCCoords(nu=0.6 - 0.3j, r=r, z=-1.2 + 0.4j, mu=-0.4 + 0.5j)
+    y = group.hc_to_cartan(x)
+    assert np.all(np.isfinite(group.cartan_vector(y)))
+    back = group.cartan_to_hc(y)
+    assert abs(back.nu - x.nu) <= 1e-14 and abs(back.mu - x.mu) <= 1e-14
+    assert abs(back.z - x.z) <= 1e-14
+    y = group.CartanCoords(beta=0.3 + 0.8j, phi=0.5, r=r, ell=-0.7,
+                           alpha=-0.9 + 0.2j)
+    again = group.hc_to_cartan(group.cartan_to_hc(y))
+    assert np.max(np.abs(group.cartan_vector(again)
+                         - group.cartan_vector(y))) <= 1e-14 * r
+
+
+@pytest.mark.parametrize("r", [400.0, 800.0])
+def test_haar_density_raises_where_it_overflows(r):
+    with pytest.raises(fock.NumericalDomainError):
+        group.haar_density(group.HCCoords(nu=0j, r=r, z=0j, mu=0j))
+    with pytest.raises(fock.NumericalDomainError):
+        group.haar_density(group.CartanCoords(beta=0j, phi=0.0, r=r,
+                                              ell=0.0, alpha=0j))
 
 
 def test_jacobian_consistency_near_and_far():

@@ -81,6 +81,18 @@ def test_cross_chart_endpoint():
     assert abs(got.ell - (hc_end.s - f)) <= tol
 
 
+@pytest.mark.parametrize("N", [500, 4000])  # kappa T = 50 and 400
+def test_cross_chart_endpoint_at_long_times(N):
+    # The Cartan step works in decaying factors, so it stays finite and
+    # on the transformed HC endpoint where e^r overflows.
+    path = paths.sample_wiener(N, 0.1, 1.0, seed=3)
+    ref = group.hc_to_cartan(paths.closed_form_hc(path))
+    got = paths.propagate_sde(path, chart="cartan").cartan[-1]
+    assert np.all(np.isfinite(group.cartan_vector(got)))
+    assert np.max(np.abs(group.cartan_vector(got) - group.cartan_vector(ref))
+                  ) <= 1e-12 * np.max(np.abs(group.cartan_vector(ref)))
+
+
 def test_closed_form_single_increment():
     dw = np.array([0.03 - 0.02j])
     path = paths.WienerPath(dt=1e-3, kappa=2.0, increments=dw)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spqm import dists, fock, povm
+from spqm import dists, fock, group, povm
 
 
 def test_partition_function_values():
@@ -40,23 +40,21 @@ def test_completeness_identity():
 
 
 def _completeness_angular_loop(kT, dim, radial_nodes=40, angular_nodes=64):
-    """Reference: the completeness quadrature with one exponential per angle."""
+    """Reference: the completeness operator summed angle by angle.
+
+    Each term is the exact Cartan element D_a e^{-4kT Ho} D_a_dag, with
+    its e^{-u} factor, reweighted by e^u against the Gauss-Laguerre
+    weight; the whole dim x dim operator is returned.
+    """
     c = 1 - np.exp(-4 * kT)
-    alpha_sq_max = 2.0 * dim
-    dim_work = max(dim, int(np.ceil(2 * alpha_sq_max)))
     nodes, weights = np.polynomial.laguerre.laggauss(radial_nodes)
-    keep = nodes / c <= alpha_sq_max
-    core = np.diag(np.exp(-4 * kT * (np.arange(dim_work) + 0.5)))
-    theta = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
-    total = np.zeros((dim_work, dim_work), dtype=complex)
-    for u, w in zip(nodes[keep], weights[keep]):
-        for th in theta:
-            d = fock.displacement_operator(dim_work,
-                                           np.sqrt(u / c) * np.exp(1j * th))
-            total += (w * np.exp(u)) * (d @ core @ d.conj().T)
-    total *= 2 * np.sinh(2 * kT) / (c * angular_nodes)
-    half = dim // 2
-    return np.linalg.norm(total[:half, :half] - np.eye(half), ord=2)
+    total = np.zeros((dim, dim), dtype=complex)
+    for th in 2 * np.pi * np.arange(angular_nodes) / angular_nodes:
+        alpha = np.sqrt(nodes / c) * np.exp(1j * th)
+        elements = group.represent(group.CartanCoords(
+            beta=alpha, phi=0.0, r=4 * kT, ell=0.0, alpha=alpha), dim)
+        total += np.tensordot(weights * np.exp(nodes), elements, axes=1)
+    return total * 2 * np.sinh(2 * kT) / (c * angular_nodes)
 
 
 @pytest.mark.parametrize("kT,dim,nodes", [
@@ -67,8 +65,20 @@ def _completeness_angular_loop(kT, dim, radial_nodes=40, angular_nodes=64):
 ])
 def test_completeness_mask_matches_angular_loop(kT, dim, nodes):
     got = povm.completeness_quadrature(kT, dim, **nodes)
-    want = _completeness_angular_loop(kT, dim, **nodes)
+    half = dim // 2
+    block = _completeness_angular_loop(kT, dim, **nodes)[:half, :half]
+    want = np.linalg.norm(block - np.eye(half), ord=2)
     assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kT,dim", [(1.0, 16), (0.5, 12), (0.1, 16),
+                                    (1.0, 40)])
+def test_completeness_full_block(kT, dim):
+    # Exact entries: the top dim x dim block at 2 dim is the whole block
+    # at dim, so no truncation edge is left out of the comparison.
+    assert povm.completeness_quadrature(kT, 2 * dim) <= 1e-12
+    full = _completeness_angular_loop(kT, dim)
+    assert np.linalg.norm(full - np.eye(dim), ord=2) <= 1e-12
 
 
 def test_completeness_coherent_state_limit():
@@ -142,6 +152,21 @@ def test_late_time_residual_ground():
     for kT in (2.0, 3.0):
         res = povm.late_time_coherent_residual(kT, 0.0, 0.0, 40)
         assert abs(res - np.exp(-2 * kT)) <= 1e-10
+
+
+@pytest.mark.parametrize("kT,beta,alpha", [(2.0, 0.5, 0.3),
+                                            (6.0, 1.0 - 0.5j, -0.7j)])
+def test_late_time_residual_matches_dense_oracle(kT, beta, alpha):
+    # Dense displacements at dim 80, cut to the top 40 x 40 block.
+    big, dim = 80, 40
+    d_beta = fock.displacement_operator(big, beta)
+    d_alpha = fock.displacement_operator(big, alpha)
+    core = np.diag(np.exp(kT - 2 * kT * (np.arange(big) + 0.5)))
+    element = d_beta @ core @ d_alpha.conj().T
+    outer = np.outer(d_beta[:, 0], d_alpha[:, 0].conj())
+    want = np.linalg.norm((element - outer)[:dim, :dim], ord=2)
+    got = povm.late_time_coherent_residual(kT, beta, alpha, dim)
+    assert abs(got - want) <= 1e-13
 
 
 def test_late_time_residual_displaced():
