@@ -13,7 +13,8 @@ distributions
 povm
     Partition-function, completeness, and (small dim) channel checks.
 verify
-    Run the full verification suite; exit 0 iff every check passes.
+    Run the full verification suite, or the checks named by --check;
+    exit 0 iff every check run passes.
 
 Every output file starts with a single JSON metadata line (parameters,
 seed, version) followed by data rows in CSV or JSON-lines form.  All
@@ -149,7 +150,10 @@ def _cmd_povm(args):
 
 
 def _cmd_verify(args):
-    results = verify.run_all()
+    if args.check:
+        results = [verify.run_check(num) for num in args.check]
+    else:
+        results = verify.run_all()
     report = verify.format_report(results)
     print(report)
     if args.out:
@@ -210,6 +214,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the full verification suite")
     _add_common(p, dt_default=1e-3)
+    p.add_argument("--check", type=int, action="append", metavar="N",
+                   choices=[num for num, _, _ in verify.CHECKS],
+                   help="run only check N (repeatable; default: all)")
     p.set_defaults(func=_cmd_verify)
     return parser
 

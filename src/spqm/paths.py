@@ -11,6 +11,7 @@ Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
 """
 
+import math
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -33,6 +34,13 @@ __all__ = [
 
 #: Steps per block in the blocked evaluation of `closed_form_hc`.
 _BLOCK = 32
+
+#: Steps per block of Kraus factors that `kraus_time_ordered` builds at
+#: once; all factors of a long record at once would double peak memory.
+_KRAUS_BLOCK = 64
+
+#: Taylor coefficients 1/(k+2)! of `_kraus_centre` in powers of -eps.
+_CENTRE_SERIES = tuple(1 / math.factorial(k + 2) for k in range(17))
 
 #: Paths per row block that `sample_endpoints` draws and reduces.
 _PATH_BLOCK = 256
@@ -384,24 +392,39 @@ def closed_form_cartan(path):
     hc_to_cartan(closed_form_hc(path)): beta and alpha are the
     sinh-kernel combinations of the HC sums nu and mu, and the center
     follows from the gauge functions, ell = s - f, phi = psi - xi.
-    Requires at least one step (the chart is singular at T=0).  Raises
-    `fock.NumericalDomainError` where e^r overflows (r = 2 kappa T
-    above about 709).
+    Requires at least one step (the chart is singular at T=0).  Both
+    steps carry decaying factors only, so it is finite at any kappa T.
     """
-    r = 2 * path.kappa * path.dt * np.shape(path.increments)[-1]
-    if r > np.log(np.finfo(float).max):
-        raise fock.NumericalDomainError(
-            f"closed_form_cartan overflows at 2 kappa T = {r:.1f}")
     return group.hc_to_cartan(closed_form_hc(path))
+
+
+def _kraus_centre(eps):
+    """(eps - 1 + e^-eps)/eps^2 for a scalar eps > 0, without cancellation.
+
+    Below eps = 1 the Taylor series sum_k (-eps)^k/(k+2)!, whose first
+    17 terms reach double precision there; above it the direct form,
+    which then loses at most a few units in the last place.
+    """
+    if eps >= 1:
+        return (eps + math.expm1(-eps)) / eps ** 2
+    return np.polynomial.polynomial.polyval(-eps, _CENTRE_SERIES)
 
 
 def kraus_time_ordered(path, dim):
     """Time-ordered product of one-increment Kraus factors.
 
-    Each factor is exp(-Ho 2 kappa dt + a sqrt(kappa) dw* +
-    a_dag sqrt(kappa) dw); the latest factor stands leftmost.  As
-    dt -> 0 at fixed record the product converges (at order sqrt(dt))
-    to represent(closed_form_hc(path)).
+    Each factor is exp(-Ho eps + a conj(c) + a_dag c), eps = 2 kappa dt
+    and c = sqrt(kappa) dw, a positive group element; the latest factor
+    stands leftmost.  Its HC coordinates are closed forms,
+
+        nu = mu = g c,  r = eps,  z = |c|^2 (eps - 1 + e^-eps)/eps^2,
+
+    with g = (1 - e^-eps)/eps, so each factor is `group.represent` of
+    them: exact under truncation, no matrix exponential.  The factors
+    are built `_KRAUS_BLOCK` steps at a time.  As dt -> 0 at fixed
+    record the product converges at first order in dt to
+    represent(closed_form_hc(path)).  Raises `fock.NumericalDomainError`
+    where a factor or the product is not finite.
 
     The truncation should keep the state support interior; as a
     guideline dim >= 8 (1 + max(|nu_t|, |mu_t|))^2.
@@ -409,16 +432,21 @@ def kraus_time_ordered(path, dim):
     dw = np.asarray(path.increments)
     if dw.ndim != 1:
         raise ValueError("kraus_time_ordered takes one path at a time")
-    ops = fock.canonical_operators(dim)
-    kappa, dt = path.kappa, path.dt
-    root = np.sqrt(kappa)
+    eps = 2 * path.kappa * path.dt
+    gain = -math.expm1(-eps) / eps
+    centre = _kraus_centre(eps)
     product = np.eye(dim, dtype=complex)
-    drift = -2 * kappa * dt * ops.h_osc
-    for w in dw:
-        generator = drift + ops.a * (root * np.conj(w)) + ops.a_dag * (root * w)
-        product = fock.matrix_exponential(generator) @ product
-        if not np.all(np.isfinite(product)):
-            raise fock.NumericalDomainError("Kraus product overflowed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.sqrt(path.kappa) * dw
+        for start in range(0, c.shape[0], _KRAUS_BLOCK):
+            block = c[start:start + _KRAUS_BLOCK]
+            factors = group.represent(group.HCCoords(
+                nu=gain * block, r=eps, z=np.abs(block) ** 2 * centre,
+                mu=gain * block), dim)
+            for factor in factors:
+                product = factor @ product
+    if not np.all(np.isfinite(product)):
+        raise fock.NumericalDomainError("Kraus product overflowed")
     return product
 
 

@@ -80,10 +80,17 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     Their HC center carries exactly e^{-u}; setting ell = -u adds u to
     z, which leaves that factor to the Gauss-Laguerre weight.
     D(r e^{i th}) = e^{i th n} D(r) e^{-i th n}, so the angular mean
-    keeps the entries (m, n) with m - n = 0 mod angular_nodes.
+    keeps the entries (m, n) with m - n = 0 mod angular_nodes.  That
+    aliases entries with |m - n| = angular_nodes into the reported
+    block once dim // 2 > angular_nodes (the default 64 nodes serve
+    dim <= 129), so such input raises ValueError.
     """
     if kT <= 0:
         raise ValueError("need kT > 0")
+    if dim // 2 > angular_nodes:
+        raise ValueError(f"reported block of {dim // 2} levels is aliased "
+                         f"by {angular_nodes} angular nodes; need "
+                         f"angular_nodes >= dim // 2")
     c = -np.expm1(-4 * kT)
     nodes, weights = np.polynomial.laguerre.laggauss(radial_nodes)
     alpha = np.sqrt(nodes / c)

@@ -125,3 +125,27 @@ def test_verify_json_output(monkeypatch, tmp_path):
     _, rows = _read_output(out)
     row = json.loads(rows[0])
     assert row["passed"] is True and row["name"] == "stub numpy pass"
+
+
+def test_verify_single_check(monkeypatch, capsys, tmp_path):
+    # --check runs only the named checks, in the order given, and keeps
+    # --out/--format.
+    monkeypatch.setattr(verify, "CHECKS", [
+        (1, "stub one", lambda: (True, "ok")),
+        (2, "stub two", lambda: (False, "never run")),
+        (3, "stub three", lambda: (True, "ok"))])
+    out = tmp_path / "verify.jsonl"
+    code = cli.main(["verify", "--check", "3", "--check", "1", "--out",
+                     str(out), "--format", "json"])
+    assert code == 0
+    report = capsys.readouterr().out
+    assert "stub two" not in report and "2/2 checks passed" in report
+    _, rows = _read_output(out)
+    assert [json.loads(row)["number"] for row in rows] == [3, 1]
+
+
+def test_verify_unknown_check_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--check", "99"])
+    assert info.value.code == 2
+    assert "invalid choice: 99" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for path sampling, SDE integration, and the Kraus product."""
 
+import decimal
 from concurrent import futures
 
 import numpy as np
@@ -140,8 +141,8 @@ def test_blocked_closed_form_matches_recursion(N, shape):
 
 
 def test_closed_forms_at_kappa_t_400():
-    # kappa T = 400: the HC sums carry only decaying factors and stay
-    # finite; the Cartan chart's e^r overflows and raises.
+    # kappa T = 400: the HC sums and the Cartan transform carry only
+    # decaying factors and stay finite.
     batch = paths.sample_wiener(4000, 0.1, 1.0, 0, n_paths=2)
     got = paths.closed_form_hc(batch)
     want = _recursion_endpoint(batch)
@@ -149,8 +150,12 @@ def test_closed_forms_at_kappa_t_400():
         a, b = getattr(got, name), getattr(want, name)
         assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-    with pytest.raises(fock.NumericalDomainError):
-        paths.closed_form_cartan(batch)
+    cartan = paths.closed_form_cartan(batch)
+    via_hc = group.hc_to_cartan(got)
+    for name in ("beta", "phi", "ell", "alpha"):
+        a, b = getattr(cartan, name), getattr(via_hc, name)
+        assert np.all(np.isfinite(a))
+        assert np.array_equal(a, b)
 
 
 def test_closed_form_cartan_matches_transform():
@@ -279,6 +284,58 @@ def test_pfaffian_per_step_combinations():
         combo = ((b.s - a.s)
                  + 0.5 * np.exp(a.r) * 2 * np.real(np.conj(a.nu) * (b.mu - a.mu)))
         assert abs(combo + 0.5 * kappa * np.abs(path.increments[k - 1]) ** 2) <= dt ** 1.5
+
+
+def _kraus_dense_oracle(path, dim):
+    """Reference: the product of dense expm of each step's generator."""
+    ops = fock.canonical_operators(dim)
+    root = np.sqrt(path.kappa)
+    drift = -2 * path.kappa * path.dt * ops.h_osc
+    product = np.eye(dim, dtype=complex)
+    for w in path.increments:
+        generator = drift + ops.a * (root * np.conj(w)) + ops.a_dag * (root * w)
+        product = fock.matrix_exponential(generator) @ product
+    return product
+
+
+@pytest.mark.parametrize("N", [1, 63, 64, 65, 500])
+def test_kraus_matches_dense_oracle(N):
+    # Factors are built 64 steps at a time: one step, one short of a
+    # block, one block, a block plus one, and many blocks plus a tail.
+    path = paths.sample_wiener(N, 1e-3, 1.0, seed=40 + N)
+    got = fock.interior_block(paths.kraus_time_ordered(path, 24))
+    want = fock.interior_block(_kraus_dense_oracle(path, 24))
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dt,dw", [(1e-3, 0.05 + 0.03j), (0.25, 0.7 - 0.2j),
+                                   (1e-6, 1e-3j)])
+def test_kraus_factor_matches_dense_generator(dt, dw):
+    # One factor is exact under truncation: it equals the top block of
+    # the dense exponential of the generator at a much larger dim.
+    path = paths.WienerPath(dt=dt, kappa=1.0, increments=np.array([dw]))
+    got = paths.kraus_time_ordered(path, 24)
+    want = _kraus_dense_oracle(path, 80)[:24, :24]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_kraus_huge_increment_raises():
+    dw = np.zeros(100, complex)
+    dw[70] = 1e200
+    path = paths.WienerPath(dt=1e-3, kappa=1.0, increments=dw)
+    with pytest.raises(fock.NumericalDomainError):
+        paths.kraus_time_ordered(path, 12)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 2.5e-4, 2e-3, 0.1, 1.0])
+def test_kraus_centre_coefficient(eps):
+    # (eps - 1 + e^-eps)/eps^2 against 60-digit decimal arithmetic.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(eps)
+        want = (x - 1 + (-x).exp()) / (x * x)
+        got = decimal.Decimal(paths._kraus_centre(eps))
+        assert abs(got - want) <= decimal.Decimal(1e-15) * want
 
 
 def test_kraus_zero_path_diagonal():

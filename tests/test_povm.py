@@ -59,8 +59,9 @@ def _completeness_angular_loop(kT, dim, radial_nodes=40, angular_nodes=64):
 
 @pytest.mark.parametrize("kT,dim,nodes", [
     (1.0, 4, dict(radial_nodes=8, angular_nodes=8)),  # aliased: 8 < 16 levels
-    # aliased inside the reported 4 x 4 block: entries with m - n = 3 stay
-    (1.0, 8, dict(radial_nodes=8, angular_nodes=3)),
+    # the guard's edge: entries with m - n = 4 are aliased just outside
+    # the reported 4 x 4 block
+    (1.0, 8, dict(radial_nodes=8, angular_nodes=4)),
     (0.5, 6, {}),
 ])
 def test_completeness_mask_matches_angular_loop(kT, dim, nodes):
@@ -79,6 +80,24 @@ def test_completeness_full_block(kT, dim):
     assert povm.completeness_quadrature(kT, 2 * dim) <= 1e-12
     full = _completeness_angular_loop(kT, dim)
     assert np.linalg.norm(full - np.eye(dim), ord=2) <= 1e-12
+
+
+@pytest.mark.parametrize("kT,dim,nodes", [
+    (1.0, 130, {}),  # 65 levels reported, 64 angular nodes
+    (1.0, 34, dict(angular_nodes=16)),
+    (1.0, 8, dict(radial_nodes=8, angular_nodes=3)),
+])
+def test_completeness_rejects_aliased_block(kT, dim, nodes):
+    # Entries with |m - n| = angular_nodes would alias into the block.
+    with pytest.raises(ValueError):
+        povm.completeness_quadrature(kT, dim, **nodes)
+
+
+def test_completeness_large_dim_with_enough_angular_nodes():
+    # The default 40 radial nodes suffice at dim 140 once the angular
+    # grid covers the reported block.
+    assert povm.completeness_quadrature(1.0, 129) <= 1e-12
+    assert povm.completeness_quadrature(1.0, 140, angular_nodes=128) <= 1e-12
 
 
 def test_completeness_coherent_state_limit():
