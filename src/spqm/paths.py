@@ -171,7 +171,8 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
-def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
+def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
+                     overlap=True):
     """HC endpoints of `n_paths` records, without holding the records.
 
     Returns what `closed_form_hc` gives for `sample_wiener` (measure
@@ -181,6 +182,12 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     reduces each block to its endpoints while the next block is drawn
     (the generator fill and the GEMMs release the GIL).  Memory is
     O(`_PATH_BLOCK` N) for the blocks in flight plus the endpoints.
+
+    With `overlap` False each block is reduced in the calling thread
+    instead, to the same endpoints.  That is slower where a second
+    core is free, but its time does not swing with the load on that
+    core: on two shared cores the worker saves about a quarter of the
+    time in one run and nothing in the next.
     """
     from . import moments
 
@@ -195,7 +202,7 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     else:
         raise ValueError(f"unknown measure {measure!r}")
     global _reducer
-    if _reducer is None:
+    if overlap and _reducer is None:
         _reducer = futures.ThreadPoolExecutor(1)
 
     rng = _rng(seed, stream)
@@ -205,14 +212,18 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
         for start in range(0, n_paths, _PATH_BLOCK):
             rows = min(_PATH_BLOCK, n_paths - start)
             dw = _draw_rows(rng, kernel, rows, N, dt)
+            out = ends[:, start:start + rows]
+            if not overlap:
+                _reduce_rows(dw, kappa, dt, out)
+                continue
             if job is not None:
                 job.result()
-            job = _reducer.submit(_reduce_rows, dw, kappa, dt,
-                                  ends[:, start:start + rows])
+            job = _reducer.submit(_reduce_rows, dw, kappa, dt, out)
     finally:
         if job is not None:
             futures.wait([job])
-    job.result()
+    if job is not None:
+        job.result()
     nu, z, mu = ends
     return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
 

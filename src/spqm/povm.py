@@ -130,7 +130,10 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     `CHANNEL_CHUNK` paths, batch j from substream j of `seed`, so the
     result depends on that chunking as well as on the seed.  Each batch
     is reduced to its endpoints by `paths.sample_endpoints`, so the
-    records take O(`paths._PATH_BLOCK` N) memory.
+    records take O(`paths._PATH_BLOCK` N) memory.  The reduction runs
+    in the calling thread (`overlap=False`): the worker thread's saving
+    would come and go with the load on the other core, so the cost of
+    a call would not be steady.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
@@ -157,7 +160,7 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     for stream, start in enumerate(range(0, n_paths, CHANNEL_CHUNK)):
         size = min(CHANNEL_CHUNK, n_paths - start)
         ends = paths.sample_endpoints("plain", N, dt, 1.0, seed, size,
-                                      stream=stream)
+                                      stream=stream, overlap=False)
         v = group.represent(ends, dim) @ factor
         rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
         traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)

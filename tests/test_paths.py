@@ -234,6 +234,23 @@ def test_sample_endpoints_worker_error_propagates(monkeypatch):
     pool.shutdown()
 
 
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_sample_endpoints_without_overlap_uses_no_worker(monkeypatch,
+                                                         measure):
+    want = paths.sample_endpoints(measure, 40, 1e-3, 1.0, 5, 600, stream=1)
+
+    class Refuse:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("worker thread used")
+
+    monkeypatch.setattr(paths, "_reducer", Refuse())
+    got = paths.sample_endpoints(measure, 40, 1e-3, 1.0, 5, 600, stream=1,
+                                 overlap=False)
+    assert got.r == want.r
+    for name in ("nu", "mu", "z"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
     # The worker thread may call no traced (public) function, so the
     # whole streamed cost stays inside the span of sample_endpoints.
