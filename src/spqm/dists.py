@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fock, group, paths
+from . import fock, group, moments, paths
 
 __all__ = [
     "OffShellError",
@@ -274,8 +274,11 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         observable "one" it estimates the weight's normalization.
 
     Raises ValueError, before drawing anything, for an unknown measure,
-    weight or observable name, and `fock.NumericalDomainError` when a
-    path weight overflows.
+    weight or observable name; `moments.RegimeError`, also before
+    drawing, for weight "exp_neg_2s" under the plain measure where its
+    tilt W is not positive definite (`moments.tilted_pivots`), so that
+    E[e^{-2s}] is infinite and no sample mean means anything; and
+    `fock.NumericalDomainError` when a path weight overflows.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -287,6 +290,8 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         raise ValueError(f"unknown observable {observable!r}")
     func = OBSERVABLES[observable] if isinstance(observable, str) else observable
     weigh = _WEIGHTS[weight]
+    if measure == "plain" and weight == "exp_neg_2s":
+        moments.tilted_pivots(N, dt, kappa)
 
     w_parts, f_parts = [], []
     for stream, start in enumerate(range(0, n_paths, chunk)):

@@ -7,6 +7,10 @@ integrates the resulting SDEs in either chart, evaluates the
 stochastic-integral closed forms for the endpoint, and forms the
 time-ordered Kraus product in a truncated Fock representation.
 
+Inside the samplers a block of records is a real array of rows, each
+path's real row followed by its imaginary row, as the generator draws
+them; complex increments are formed only for the caller.
+
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
 """
@@ -42,7 +46,8 @@ _KRAUS_BLOCK = 64
 #: Taylor coefficients 1/(k+2)! of `_kraus_centre` in powers of -eps.
 _CENTRE_SERIES = tuple(1 / math.factorial(k + 2) for k in range(17))
 
-#: Paths per row block that `sample_endpoints` draws and reduces.
+#: Paths per row block that the samplers draw and `sample_endpoints`
+#: reduces, and that `closed_form_hc` de-interleaves at once.
 _PATH_BLOCK = 256
 
 #: The one worker thread of `sample_endpoints`, made on first use.
@@ -112,37 +117,47 @@ def _complex_normal(rng, shape, dt):
     return x.view(complex)
 
 
+def _draw(kernel, N, dt, seed, n_paths, stream):
+    """Complex increments of `n_paths` records (one record for None).
+
+    The white rows come from the one generator of (seed, stream), two
+    per path, its real then its imaginary row, `_PATH_BLOCK` paths at a
+    time; generator fills are sequential, so the blocks reproduce one
+    draw of all the rows.  With `kernel` given the rows are correlated
+    by `kernel.correlate` (modified measure); then they are scaled by
+    sqrt(dt/2).  Memory beyond the result is O(`_PATH_BLOCK` N).
+    """
+    rng = _rng(seed, stream)
+    count = 1 if n_paths is None else n_paths
+    scale = np.sqrt(dt / 2)
+    dw = np.empty((count, N), dtype=complex)
+    for start in range(0, count, _PATH_BLOCK):
+        block = dw[start:start + _PATH_BLOCK]
+        rows = rng.standard_normal((2 * len(block), N))
+        if kernel is not None:
+            rows = kernel.correlate(rows)
+        np.multiply(rows[0::2], scale, out=block.real)
+        np.multiply(rows[1::2], scale, out=block.imag)
+    return dw[0] if n_paths is None else dw
+
+
 def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
     """Draw plain-measure increments dw = (dW^q + i dW^p)/sqrt(2).
 
-    Real and imaginary parts are independent N(0, dt/2), drawn as one
-    real array of interleaved pairs.  Deterministic for a given
-    (seed, stream); `stream` selects an independent substream, so a
-    chunked Monte Carlo is reproducible for a fixed chunking, and its
+    Real and imaginary parts are independent N(0, dt/2): the generator
+    draws white rows of shape (2 n_paths, N), and path p is
+    sqrt(dt/2) (rows[2p] + 1j rows[2p+1]), the layout of
+    `sample_modified` and `sample_endpoints`.  (Before that layout, the
+    real and imaginary parts of each step were drawn as adjacent pairs,
+    so the same seed now gives different records.)  Deterministic for a
+    given (seed, stream); `stream` selects an independent substream, so
+    a chunked Monte Carlo is reproducible for a fixed chunking, and its
     result depends on the chunking as well as on the seed.
     """
     if N < 1:
         raise ValueError("need at least one increment")
-    shape = (N,) if n_paths is None else (n_paths, N)
-    dw = _complex_normal(_rng(seed, stream), shape, dt)
+    dw = _draw(None, N, dt, seed, n_paths, stream)
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
-
-
-def _draw_rows(rng, kernel, rows, N, dt):
-    """The next `rows` paths of N increments from the generator `rng`.
-
-    With `kernel` None the increments are plain (`_complex_normal`).
-    Otherwise they follow the modified measure of that kernel: each
-    path takes two consecutive white rows, its real then its imaginary
-    part, correlated by `kernel.correlate` and scaled by sqrt(dt/2).
-    Generator fills are sequential, so successive calls reproduce one
-    call for all the rows.
-    """
-    if kernel is None:
-        return _complex_normal(rng, (rows, N), dt)
-    x = kernel.correlate(rng.standard_normal((2 * rows, N)))
-    x *= np.sqrt(dt / 2)
-    return x[0::2] + 1j * x[1::2]
 
 
 def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
@@ -152,22 +167,19 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     (dt/2) M^-1, so <dw_k* dw_l> = dt (M^-1)_{kl} with M the
     exponential-Toeplitz kernel of `moments.build_kernel`.  Sampling
     goes through the kernel's O(N) factor M^-1 = F F^T with
-    F = D^T U^-1 (`moments.Kernel.correlate`): x = sqrt(dt/2) F z for
-    white z, one bidiagonal solve and one bidiagonal product per path.
-    The white rows are drawn path by path, each path's real row
-    directly followed by its imaginary row, so that a draw can be cut
-    into blocks of paths (`sample_endpoints`).  Raises
-    `moments.RegimeError` where the kernel is not positive definite.
+    F = D^T U^-1 (`moments.Kernel.correlate`, blocked GEMMs):
+    x = sqrt(dt/2) F z for white z.  The white rows are drawn as in
+    `sample_wiener`, each path's real row directly followed by its
+    imaginary row, so that a draw can be cut into blocks of paths
+    (`sample_endpoints`).  Raises `moments.RegimeError` where the
+    kernel is not positive definite.
     """
     from . import moments
 
     if N < 1:
         raise ValueError("need at least one increment")
     kernel = moments.build_kernel(N, dt, kappa)
-    cols = 1 if n_paths is None else n_paths
-    dw = _draw_rows(_rng(seed, stream), kernel, cols, N, dt)
-    if n_paths is None:
-        dw = dw[0]
+    dw = _draw(kernel, N, dt, seed, n_paths, stream)
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
@@ -177,17 +189,20 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
 
     Returns what `closed_form_hc` gives for `sample_wiener` (measure
     "plain") or `sample_modified` (measure "modified") called with the
-    same arguments.  The records are drawn in blocks of `_PATH_BLOCK`
-    paths from the one generator of (seed, stream); a worker thread
-    reduces each block to its endpoints while the next block is drawn
-    (the generator fill and the GEMMs release the GIL).  Memory is
-    O(`_PATH_BLOCK` N) for the blocks in flight plus the endpoints.
+    same arguments.  The calling thread only draws: blocks of
+    `_PATH_BLOCK` paths of white rows from the one generator of
+    (seed, stream), in the order of those samplers.  A worker thread
+    turns each block into its endpoints while the next block is drawn
+    (the generator fill and the GEMMs release the GIL): it correlates
+    the rows (modified measure, `moments.Kernel.correlate`), scales
+    them and reduces them (`_row_sums`).  Memory is O(`_PATH_BLOCK` N)
+    for the blocks in flight plus the endpoints.
 
-    With `overlap` False each block is reduced in the calling thread
-    instead, to the same endpoints.  That is slower where a second
-    core is free, but its time does not swing with the load on that
-    core: on two shared cores the worker saves about a quarter of the
-    time in one run and nothing in the next.
+    With `overlap` False the calling thread does the worker's part
+    too, to the same endpoints.  That is slower where a second core is
+    free, but its time does not swing with the load on that core: on
+    two shared cores the worker saves about a quarter of the time in
+    one run and nothing in the next.
     """
     from . import moments
 
@@ -210,15 +225,15 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
     job = None
     try:
         for start in range(0, n_paths, _PATH_BLOCK):
-            rows = min(_PATH_BLOCK, n_paths - start)
-            dw = _draw_rows(rng, kernel, rows, N, dt)
-            out = ends[:, start:start + rows]
+            size = min(_PATH_BLOCK, n_paths - start)
+            white = rng.standard_normal((2 * size, N))
+            out = ends[:, start:start + size]
             if not overlap:
-                _reduce_rows(dw, kappa, dt, out)
+                _reduce_rows(white, kernel, kappa, dt, out)
                 continue
             if job is not None:
                 job.result()
-            job = _reducer.submit(_reduce_rows, dw, kappa, dt, out)
+            job = _reducer.submit(_reduce_rows, white, kernel, kappa, dt, out)
     finally:
         if job is not None:
             futures.wait([job])
@@ -228,9 +243,16 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
     return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
 
 
-def _reduce_rows(dw, kappa, dt, out):
-    """Write the (nu, z, mu) sums of the records `dw` into `out`."""
-    out[...] = _hc_sums(dw, kappa, dt)
+def _reduce_rows(white, kernel, kappa, dt, out):
+    """Write the (nu, z, mu) of the records drawn as `white` into `out`.
+
+    `white` holds each path's real and imaginary white rows; `kernel`
+    (None under the plain measure) correlates them first.  Calls no
+    public function, so that `sample_endpoints` can run it on its
+    worker thread.
+    """
+    rows = white if kernel is None else kernel.correlate(white)
+    out[...] = _row_sums(rows, np.sqrt(dt / 2), kappa, dt)
 
 
 def propagate_sde(path, chart="hc"):
@@ -344,55 +366,70 @@ def closed_form_hc(path):
     increments.
 
     The kernel rho^(k-l-1) is semiseparable (rank one off the
-    diagonal), so the record is cut into blocks of `_BLOCK` steps plus
-    one tail block.  One real-weight GEMM per block shape
-    (`_block_weights`) gives each block's local center sum, its
-    end-of-block state E_b and its start-weighted sum G_b; the state
-    S_b carried across blocks is E times the block-level Toeplitz
-    matrix rho^(end_b - end_b').  Every factor is at most 1, so the
-    sums stay finite at any kappa T.
+    diagonal), so the record is cut into blocks of `_BLOCK` steps.  One
+    real-weight GEMM per block (`_block_weights`) gives the block's
+    local center sum, its end-of-block state E_b and its
+    start-weighted sum G_b; the state S_b carried across blocks is E
+    times the block-level Toeplitz matrix rho^(end_b - end_b').  Every
+    factor is at most 1, so the sums stay finite at any kappa T.  The
+    complex record is de-interleaved into real rows (real part, then
+    imaginary part, per path) `_PATH_BLOCK` paths at a time, so the
+    temporaries stay O(`_PATH_BLOCK` N) whatever the batch.
     """
     dw = np.asarray(path.increments, dtype=complex)
-    nu, z, mu = _hc_sums(dw, path.kappa, path.dt)
-    return group.HCCoords(nu=nu, r=2 * path.kappa * path.dt * dw.shape[-1],
-                          z=z, mu=mu)
+    batch, N = dw.shape[:-1], dw.shape[-1]
+    flat = dw.reshape(-1, N)
+    ends = np.empty((3, len(flat)), dtype=complex)
+    for start in range(0, len(flat), _PATH_BLOCK):
+        block = flat[start:start + _PATH_BLOCK]
+        rows = np.empty((2 * len(block), N))
+        rows[0::2] = block.real
+        rows[1::2] = block.imag
+        ends[:, start:start + len(block)] = _row_sums(rows, 1.0, path.kappa,
+                                                       path.dt)
+    nu, z, mu = ends.reshape((3,) + batch)
+    return group.HCCoords(nu=nu, r=2 * path.kappa * path.dt * N, z=z, mu=mu)
 
 
-def _hc_sums(dw, kappa, dt):
-    """(nu, z, mu) of `closed_form_hc` for the complex increments `dw`.
+def _row_sums(rows, scale, kappa, dt):
+    """(nu, z, mu) of `closed_form_hc` for the records in `rows`.
 
-    Calls no public function, so that `sample_endpoints` can run it on
-    its worker thread.
+    `rows` is real, shape (2P, N), in any memory order: path p's
+    increments are scale * (rows[2p] + 1j rows[2p+1]).  Block by block
+    the scaled rows are copied step-major into a contiguous (n, 2P)
+    slab, which is also the block's complex (n, P) record; the real
+    weights act on it as one real GEMM, half the flops of the complex
+    product, and the slab stays in cache for the local sum.  Complex
+    numbers are formed only for the per-block sums.  Calls no public
+    function, so that `sample_endpoints` can run it on its worker
+    thread.
     """
-    N = dw.shape[-1]
+    width, N = rows.shape
     rho = np.exp(-2 * kappa * dt)
-    n_full, tail = divmod(N, _BLOCK)
-    blocks = []
-    if n_full:
-        blocks.append(dw[..., :n_full * _BLOCK].reshape(
-            dw.shape[:-1] + (n_full, _BLOCK)))
-    if tail:
-        blocks.append(dw[..., None, n_full * _BLOCK:])
-
-    local, ends, sums = 0, [], []
-    for x in blocks:
-        n = x.shape[-1]
-        y = x @ _block_weights(rho, n)
-        np.conjugate(y, out=y)
-        local = local + np.einsum("...j,...j->...", x, y[..., :n]).sum(axis=-1)
-        ends.append(y[..., n].conj())
-        sums.append(y[..., n + 1])
-    ends = np.concatenate(ends, axis=-1)
-    sums = np.concatenate(sums, axis=-1)
-
     start = np.arange(0, N, _BLOCK)
+    slab = np.empty((_BLOCK, width))
+    y = np.empty((_BLOCK + 2, width))
+    edges = np.empty((2, len(start), width))
+    weights = _block_weights(rho, _BLOCK).T
+    local = 0
+    for b, s in enumerate(start):
+        n = min(_BLOCK, N - s)
+        if n < _BLOCK:
+            weights = _block_weights(rho, n).T
+        x, out = slab[:n], y[:n + 2]
+        np.multiply(rows[:, s:s + n].T, scale, out=x)
+        np.matmul(weights, x, out=out)
+        local = local + np.einsum("jp,jp->p", x.view(complex),
+                                  out[:n].view(complex).conj())
+        edges[:, b] = out[n:]
+    ends, sums = edges.view(complex)
+
     last = np.minimum(start + _BLOCK, N) - 1
-    state = ends @ np.tril(rho ** np.abs(last[:, None] - last)).T
+    state = np.tril(rho ** np.abs(last[:, None] - last)) @ ends
     root = np.sqrt(kappa)
-    nu = root * state[..., -1]
-    mu = root * (sums.conj() @ rho ** start)
-    z = kappa * (local + np.einsum("...j,...j->...", sums[..., 1:],
-                                   state[..., :-1]))
+    nu = root * state[-1]
+    mu = root * (rho ** start @ sums)
+    z = kappa * (local + np.einsum("bp,bp->p", sums[1:].conj(), state[:-1]))
     return nu, z, mu
 
 

@@ -76,14 +76,17 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
 
     The POVM elements are the Cartan elements (alpha, 0, 4kT, 0, alpha),
     one batched `group.represent` over the radial nodes, exact at any
-    truncation: the top dim/2 block at 2 dim is the whole block at dim.
-    Their HC center carries exactly e^{-u}; setting ell = -u adds u to
-    z, which leaves that factor to the Gauss-Laguerre weight.
-    D(r e^{i th}) = e^{i th n} D(r) e^{-i th n}, so the angular mean
-    keeps the entries (m, n) with m - n = 0 mod angular_nodes.  That
-    aliases entries with |m - n| = angular_nodes into the reported
-    block once dim // 2 > angular_nodes (the default 64 nodes serve
-    dim <= 129), so such input raises ValueError.
+    truncation: their top dim/2 block is the element represented at
+    dim/2, which is all that is built.  Their HC center carries exactly
+    e^{-u}; setting ell = -u adds u to z, which leaves that factor to
+    the Gauss-Laguerre weight.  D(r e^{i th}) = e^{i th n} D(r)
+    e^{-i th n}, so the angular mean keeps the entries (m, n) with
+    m - n = 0 mod angular_nodes.  That aliases entries with
+    |m - n| = angular_nodes into the reported block once
+    dim // 2 > angular_nodes (the default 64 nodes serve dim <= 129),
+    so such input raises ValueError; below that the mean keeps only
+    the diagonal of the block, and the deviation is the largest
+    |diagonal - 1|.
     """
     if kT <= 0:
         raise ValueError("need kT > 0")
@@ -95,12 +98,10 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     nodes, weights = np.polynomial.laguerre.laggauss(radial_nodes)
     alpha = np.sqrt(nodes / c)
     elements = group.represent(group.CartanCoords(
-        beta=alpha, phi=0.0, r=4 * kT, ell=-nodes, alpha=alpha), dim)
-    total = np.tensordot(weights, elements, axes=1)
-    lag = np.subtract.outer(np.arange(dim), np.arange(dim))
-    total *= (lag % angular_nodes == 0) * (2 * np.sinh(2 * kT) / c)
-    half = dim // 2
-    return np.linalg.norm(total[:half, :half] - np.eye(half), ord=2)
+        beta=alpha, phi=0.0, r=4 * kT, ell=-nodes, alpha=alpha), dim // 2)
+    diagonals = np.diagonal(elements, axis1=-2, axis2=-1).copy()
+    total = np.tensordot(weights, diagonals, axes=1)
+    return np.max(np.abs(total * (2 * np.sinh(2 * kT) / c) - 1), initial=0.0)
 
 
 def channel_superoperator(kT, dim):

@@ -179,10 +179,52 @@ def test_feynman_kac_ess_collapse_warns():
 
 
 def test_feynman_kac_weight_overflow_is_typed():
-    # kappa T = 800: e^{-2s} overflows on every path.
+    # kappa T = 800: e^{-2 ell} overflows on every path.  (The weight
+    # e^{-2s} is refused there before drawing; see below.)
     with pytest.raises(fock.NumericalDomainError, match="overflowed"):
-        dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 50, 8000,
+        dists.feynman_kac_estimate("plain", "exp_neg_2ell", "one", 50, 8000,
                                    0.1, 1.0, 0)
+
+
+class _Drawn(Exception):
+    """Raised by a stand-in sampler: the estimator got as far as drawing."""
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("N, dt", [
+    (26, 0.1), (80, 0.05),  # first N past the tilt's edge
+    (8000, 0.1),  # kappa T = 800, where e^{-2s} used to overflow
+])
+def test_feynman_kac_tilt_regime_raises_before_drawing(monkeypatch, N, dt):
+    monkeypatch.setattr(paths, "sample_endpoints", _refuse_to_draw)
+    with pytest.raises(moments.RegimeError, match="tilt"):
+        dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 10, N, dt,
+                                   1.0, 0)
+
+
+@pytest.mark.parametrize("N, dt", [
+    (25, 0.1), (79, 0.05),  # last N inside the tilt's edge
+    (50, 1e-2),  # verify check 9
+    (500, 1e-3),  # the benchmark's normalization job
+])
+def test_feynman_kac_tilt_regime_admits(monkeypatch, N, dt):
+    monkeypatch.setattr(paths, "sample_endpoints", _refuse_to_draw)
+    with pytest.raises(_Drawn):
+        dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 10, N, dt,
+                                   1.0, 0)
+
+
+@pytest.mark.parametrize("measure, weight", [
+    ("plain", "none"), ("plain", "exp_neg_2ell"), ("modified", "exp_neg_2s")])
+def test_feynman_kac_tilt_guard_is_plain_exp_neg_2s_only(monkeypatch,
+                                                         measure, weight):
+    monkeypatch.setattr(paths, "sample_endpoints", _refuse_to_draw)
+    with pytest.raises(_Drawn):
+        dists.feynman_kac_estimate(measure, weight, "one", 10, 26, 0.1, 1.0,
+                                   0)
 
 
 def test_feynman_kac_rejects_empty():

@@ -168,6 +168,69 @@ class _BasisDraws:
         return out
 
 
+def _banded_correlate(kernel, white):
+    """Reference: F = D^T U^-1 by one banded solve and one product."""
+    root, off = kernel._bidiagonal()
+    upper = np.zeros((2, kernel.N))
+    upper[0, 1:] = off
+    upper[1] = root
+    x = scipy.linalg.solve_banded((0, 1), upper, white.T).T
+    x[:, :-1] -= kernel.rho * x[:, 1:]
+    return x
+
+
+@pytest.mark.parametrize("N", [1, 31, 32, 33, 1000])
+def test_correlate_matches_banded_solve(N):
+    # Blocks of 32 steps: one short block, one short of a block, one
+    # exact block, a block plus one step, and many blocks plus a tail.
+    kernel = moments.build_kernel(N, 1e-3, 1.0)
+    white = np.random.default_rng(N).standard_normal((70, N))
+    got = kernel.correlate(white)
+    want = _banded_correlate(kernel, white)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_correlate_matches_banded_solve_near_regime_edge(seed):
+    # kappa dt = 0.1, N = 261: the last N before the kernel loses
+    # positive definiteness, smallest pivot 0.33.  Measured agreement
+    # 1.6e-15 to 3.2e-15 relative over 20 seeds.
+    kernel = moments.build_kernel(261, 0.1, 1.0)
+    assert kernel.pivots.min() < 0.34
+    white = np.random.default_rng(seed).standard_normal((64, 261))
+    got = kernel.correlate(white)
+    want = _banded_correlate(kernel, white)
+    assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+
+
+def test_correlate_factors_are_read_only():
+    kernel = moments.build_kernel(70, 1e-3, 1.0)
+    for _, head, edge in kernel._blocks:
+        for a in (head, edge):
+            if a is not None:
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+
+def _dense_tilt(N, kdt):
+    """W = I - kappa dt H, H_kl = delta_kl + (1 - delta_kl) rho^(|k-l|-1)."""
+    lag = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+    h = np.where(lag == 0, 1.0, np.exp(-2 * kdt * (lag - 1.0)))
+    return np.eye(N) - kdt * h
+
+
+@pytest.mark.parametrize("kdt, edge", [(0.1, 26), (0.05, 80)])
+def test_tilted_pivots_regime_edge(kdt, edge):
+    pivots = moments.tilted_pivots(edge - 1, kdt, 1.0)
+    dense = _dense_tilt(edge - 1, kdt)
+    assert np.linalg.eigvalsh(dense).min() > 0
+    assert abs(np.prod(pivots) / np.linalg.det(dense) - 1) <= 1e-12
+    assert np.linalg.eigvalsh(_dense_tilt(edge, kdt)).min() < 0
+    with pytest.raises(moments.RegimeError, match=f"N = {edge}"):
+        moments.tilted_pivots(edge, kdt, 1.0)
+
+
 @pytest.mark.parametrize("N, dt", [(200, 0.01), (1000, 1e-3)])
 def test_sample_modified_exact_covariance(monkeypatch, N, dt):
     # With the draws replaced by an orthonormal basis (real and

@@ -30,6 +30,45 @@ def test_sample_wiener_deterministic():
     assert not np.array_equal(a.increments, c.increments)
 
 
+# First three increments of two paths at seed 17 (N = 40, dt = 1e-3,
+# kappa = 1).  The modified values are those of the banded-solve
+# sampler that the blocked factor replaced: its white stream is
+# unchanged.  The plain values pin the row layout (real row, then
+# imaginary row, per path) that replaced adjacent (re, im) pairs.
+_MODIFIED_SEED_17 = [
+    [0.024447001954732248 + 0.008569292698658023j,
+     0.0073730878451790756 - 0.054644194632247595j,
+     -0.012266730811694314 - 0.0026231388894315723j],
+    [0.04995642341479639 - 0.035652078101515446j,
+     0.0022246315843820917 + 0.011653754525412409j,
+     -0.02942390507192233 - 0.0004245790468402432j]]
+_PLAIN_SEED_17 = [
+    [0.024624977071072758 + 0.00877834220842806j,
+     0.007567553402928906 - 0.05445758896531983j,
+     -0.012074130140203984 - 0.0024647270662825657j],
+    [0.0498283741202272 - 0.035788698574812275j,
+     0.0021223716611783097 + 0.011504677038518893j,
+     -0.029540106926276975 - 0.0005684647763559893j]]
+
+
+def test_sample_modified_stream_is_pinned():
+    got = paths.sample_modified(40, 1e-3, 1.0, seed=17, n_paths=2)
+    want = np.array(_MODIFIED_SEED_17)
+    assert np.max(np.abs(got.increments[:, :3] - want)) <= (
+        1e-13 * np.max(np.abs(want)))
+
+
+def test_sample_wiener_stream_is_pinned():
+    got = paths.sample_wiener(40, 1e-3, 1.0, seed=17, n_paths=2)
+    assert np.array_equal(got.increments[:, :3], np.array(_PLAIN_SEED_17))
+    # One path is the first path of a batch, and the layout is the one
+    # the endpoint stream draws: rows[2p] + 1j rows[2p+1].
+    single = paths.sample_wiener(40, 1e-3, 1.0, seed=17)
+    assert np.array_equal(single.increments, got.increments[0])
+    rows = paths._rng(17).standard_normal((4, 40)) * np.sqrt(1e-3 / 2)
+    assert np.array_equal(got.increments, rows[0::2] + 1j * rows[1::2])
+
+
 def test_sample_modified_small_kappa_is_plain():
     # kappa -> 0 collapses the kernel to the identity, so the modified
     # increments carry the plain variance dt.
@@ -209,22 +248,22 @@ class _RecordingPool(futures.ThreadPoolExecutor):
 
 
 def test_sample_endpoints_worker_error_propagates(monkeypatch):
-    reduce, calls = paths._hc_sums, []
+    reduce, calls = paths._row_sums, []
 
-    def fail_on_second_block(dw, kappa, dt):
-        calls.append(dw.shape[0])
+    def fail_on_second_block(rows, scale, kappa, dt):
+        calls.append(rows.shape[0])
         if len(calls) == 2:
             raise RuntimeError("second block")
-        return reduce(dw, kappa, dt)
+        return reduce(rows, scale, kappa, dt)
 
     pool = _RecordingPool()
     monkeypatch.setattr(paths, "_reducer", pool)
-    monkeypatch.setattr(paths, "_hc_sums", fail_on_second_block)
+    monkeypatch.setattr(paths, "_row_sums", fail_on_second_block)
     with pytest.raises(RuntimeError, match="second block"):
         paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 1000)
     assert len(pool.jobs) == 2 and all(job.done() for job in pool.jobs)
 
-    monkeypatch.setattr(paths, "_hc_sums", reduce)
+    monkeypatch.setattr(paths, "_row_sums", reduce)
     got = paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 1000)
     want = paths.closed_form_hc(paths.sample_wiener(40, 1e-3, 1.0, 2,
                                                     n_paths=1000))
