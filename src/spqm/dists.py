@@ -259,11 +259,13 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         evaluated at the endpoint.
     n_paths, N, dt, kappa, seed
         Monte Carlo size and path parameters; all randomness derives
-        from `seed`.  Chunk j of `chunk` paths draws from substream j,
-        so the result depends on the chunking as well as on the seed.
-        Each chunk goes through `paths.sample_endpoints`, so memory is
-        O(`paths._PATH_BLOCK` N) for the records plus O(`chunk`) for
-        the endpoints, whatever the chunk size.
+        from `seed`.  Chunk j of `chunk` paths is substream j, and its
+        block b of `paths._PATH_BLOCK` paths has its own generator,
+        seeded from (seed, j, b), so the result depends on the chunking
+        as well as on the seed, but not on which thread drew which
+        block.  Each chunk goes through `paths.sample_endpoints`, so
+        memory is O(`paths._PATH_BLOCK` N) for the records plus
+        O(`chunk`) for the endpoints, whatever the chunk size.
 
     Returns
     -------

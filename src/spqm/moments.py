@@ -161,7 +161,11 @@ class Kernel:
         the first block, whose y_s nothing needs) and `edge` stacks
         [g_b; edge_b] likewise (None for the last block).  U_b^-1 is
         built for all blocks at once by back substitution, padding the
-        tail block with unit rows.
+        tail block with unit rows.  `head` is kept in Fortran order:
+        against the strided block of the record OpenBLAS (0.3.31,
+        default threads) runs that product on the calling thread,
+        while C order woke its thread pool, whose spinning helper
+        thread then took the second core from `paths.sample_endpoints`.
         """
         N, rho = self.N, self.rho
         n_blocks = -(-N // _BLOCK)
@@ -190,6 +194,7 @@ class Kernel:
             if start == 0:
                 head = head[1:]
                 edge = None if edge is None else edge[1:]
+            head = np.asfortranarray(head)
             for a in (head, edge):
                 if a is not None:
                     a.flags.writeable = False
@@ -197,7 +202,7 @@ class Kernel:
         return tuple(blocks)
 
     def correlate(self, white):
-        """Apply F = D^T U^-1 to each row of `white`, shape (P, N).
+        """Apply F = D^T U^-1 to each row of `white`, shape (P, N), in place.
 
         F F^T = M^-1, so white rows of unit covariance come out with
         covariance M^-1.  F is semiseparable: cut into blocks of
@@ -205,21 +210,22 @@ class Kernel:
         precomputed factor with z's block (`_blocks`), plus a rank-one
         term in y_e = (U^-1 z)_e, the first entry of y in the next
         block.  The same GEMM gives y at the block's own start, so the
-        blocks run last to first with that rank-one carry between
-        them.  Returns x as a (P, N) view of a step-major array, so
-        that each block of x is contiguous.
+        blocks run last to first with that rank-one carry between them,
+        and each block of x overwrites its block of z once nothing
+        needs z there any more.  Temporaries are O(`_BLOCK` P): one
+        block's product, its carry term and the carry.
         """
-        x = np.empty((self.N, white.shape[0]))
+        product = np.empty((_BLOCK + 1, white.shape[0]))
         carry = None
         for start, head, edge in reversed(self._blocks):
             stop = start + head.shape[1]
-            out = x[stop - head.shape[0]:stop]
+            out = product[:head.shape[0]]
             np.matmul(head, white[:, start:stop].T, out=out)
             if carry is not None:
                 out += np.multiply.outer(edge, carry)
+            white[:, start:stop] = out[out.shape[0] - head.shape[1]:].T
             if start:
                 carry = out[0].copy()
-        return x.T
 
 
 def build_kernel(N, dt, kappa):

@@ -16,6 +16,7 @@ step index last.  All closed forms broadcast over the batch.
 """
 
 import math
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -101,8 +102,15 @@ class Trajectory:
     cartan: list | None = None
 
 
-def _rng(seed, stream=0):
-    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+def _rng(seed, stream, block):
+    """The generator of row block `block` of substream `stream` of `seed`.
+
+    SFC64 (ships with numpy and passes the standard test batteries),
+    seeded from SeedSequence([seed, stream, block]), so every block of
+    `_PATH_BLOCK` paths has a stream of its own.
+    """
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([seed, stream, block])))
 
 
 def _complex_normal(rng, shape, dt):
@@ -120,22 +128,23 @@ def _complex_normal(rng, shape, dt):
 def _draw(kernel, N, dt, seed, n_paths, stream):
     """Complex increments of `n_paths` records (one record for None).
 
-    The white rows come from the one generator of (seed, stream), two
-    per path, its real then its imaginary row, `_PATH_BLOCK` paths at a
-    time; generator fills are sequential, so the blocks reproduce one
-    draw of all the rows.  With `kernel` given the rows are correlated
-    by `kernel.correlate` (modified measure); then they are scaled by
-    sqrt(dt/2).  Memory beyond the result is O(`_PATH_BLOCK` N).
+    Block b of `_PATH_BLOCK` paths fills one (2 paths, N) row buffer
+    from `_rng(seed, stream, b)`, path p's real row 2p and its
+    imaginary row 2p+1.  With `kernel` given the rows are correlated in
+    place by `kernel.correlate` (modified measure); then they are
+    scaled by sqrt(dt/2).  Memory beyond the result is O(`_PATH_BLOCK`
+    N).
     """
-    rng = _rng(seed, stream)
     count = 1 if n_paths is None else n_paths
     scale = np.sqrt(dt / 2)
     dw = np.empty((count, N), dtype=complex)
-    for start in range(0, count, _PATH_BLOCK):
+    buffer = np.empty((2 * min(count, _PATH_BLOCK), N))
+    for b, start in enumerate(range(0, count, _PATH_BLOCK)):
         block = dw[start:start + _PATH_BLOCK]
-        rows = rng.standard_normal((2 * len(block), N))
+        rows = buffer[:2 * len(block)]
+        _rng(seed, stream, b).standard_normal(out=rows)
         if kernel is not None:
-            rows = kernel.correlate(rows)
+            kernel.correlate(rows)
         np.multiply(rows[0::2], scale, out=block.real)
         np.multiply(rows[1::2], scale, out=block.imag)
     return dw[0] if n_paths is None else dw
@@ -144,15 +153,15 @@ def _draw(kernel, N, dt, seed, n_paths, stream):
 def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
     """Draw plain-measure increments dw = (dW^q + i dW^p)/sqrt(2).
 
-    Real and imaginary parts are independent N(0, dt/2): the generator
-    draws white rows of shape (2 n_paths, N), and path p is
-    sqrt(dt/2) (rows[2p] + 1j rows[2p+1]), the layout of
-    `sample_modified` and `sample_endpoints`.  (Before that layout, the
-    real and imaginary parts of each step were drawn as adjacent pairs,
-    so the same seed now gives different records.)  Deterministic for a
-    given (seed, stream); `stream` selects an independent substream, so
-    a chunked Monte Carlo is reproducible for a fixed chunking, and its
-    result depends on the chunking as well as on the seed.
+    Real and imaginary parts are independent N(0, dt/2).  Paths come in
+    blocks of `_PATH_BLOCK`; block b draws white rows of shape
+    (2 paths, N) from its own generator `_rng(seed, stream, b)`, and
+    its path p is sqrt(dt/2) (rows[2p] + 1j rows[2p+1]), the layout of
+    `sample_modified` and `sample_endpoints`.  A single path is the
+    first path of a batch.  Deterministic for a given (seed, stream);
+    `stream` selects an independent substream, so a chunked Monte Carlo
+    is reproducible for a fixed chunking, and its result depends on the
+    chunking as well as on the seed.
     """
     if N < 1:
         raise ValueError("need at least one increment")
@@ -167,12 +176,13 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     (dt/2) M^-1, so <dw_k* dw_l> = dt (M^-1)_{kl} with M the
     exponential-Toeplitz kernel of `moments.build_kernel`.  Sampling
     goes through the kernel's O(N) factor M^-1 = F F^T with
-    F = D^T U^-1 (`moments.Kernel.correlate`, blocked GEMMs):
+    F = D^T U^-1 (`moments.Kernel.correlate`, blocked GEMMs, in place):
     x = sqrt(dt/2) F z for white z.  The white rows are drawn as in
-    `sample_wiener`, each path's real row directly followed by its
-    imaginary row, so that a draw can be cut into blocks of paths
-    (`sample_endpoints`).  Raises `moments.RegimeError` where the
-    kernel is not positive definite.
+    `sample_wiener`, block b of `_PATH_BLOCK` paths from
+    `_rng(seed, stream, b)`, each path's real row directly followed by
+    its imaginary row, so that `sample_endpoints` can draw any block on
+    its own.  Raises `moments.RegimeError` where the kernel is not
+    positive definite.
     """
     from . import moments
 
@@ -183,26 +193,52 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
+class _Claims:
+    """Block indices 0..count-1, each handed out once, in order.
+
+    `claim` returns the next index, or None once all are out or after
+    `stop`.  Shared by the threads of `sample_endpoints`.
+    """
+
+    def __init__(self, count):
+        self._next, self._count = 0, count
+        self._lock = threading.Lock()
+
+    def claim(self):
+        with self._lock:
+            if self._next >= self._count:
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def stop(self):
+        with self._lock:
+            self._next = self._count
+
+
 def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
                      overlap=True):
     """HC endpoints of `n_paths` records, without holding the records.
 
     Returns what `closed_form_hc` gives for `sample_wiener` (measure
     "plain") or `sample_modified` (measure "modified") called with the
-    same arguments.  The calling thread only draws: blocks of
-    `_PATH_BLOCK` paths of white rows from the one generator of
-    (seed, stream), in the order of those samplers.  A worker thread
-    turns each block into its endpoints while the next block is drawn
-    (the generator fill and the GEMMs release the GIL): it correlates
-    the rows (modified measure, `moments.Kernel.correlate`), scales
-    them and reduces them (`_row_sums`).  Memory is O(`_PATH_BLOCK` N)
-    for the blocks in flight plus the endpoints.
+    same arguments.  The paths come in blocks of `_PATH_BLOCK`, block b
+    drawn from its own generator `_rng(seed, stream, b)` (as in those
+    samplers) into a fixed slot of the result.  The calling thread and
+    one worker thread claim block indices from one shared counter; each
+    draws the blocks it claims into its own row buffer, correlates them
+    in place (modified measure, `moments.Kernel.correlate`), scales
+    them and reduces them (`_row_sums`).  Generator fills and GEMMs
+    release the GIL, so the two run on two cores, and the endpoints do
+    not depend on which thread took which block.  Both row buffers are
+    made here, in the calling thread.  Memory is O(`_PATH_BLOCK` N) for
+    the two buffers plus the endpoints.  A failure on either thread
+    stops the other from claiming more blocks and is raised here, with
+    no job left running.
 
-    With `overlap` False the calling thread does the worker's part
-    too, to the same endpoints.  That is slower where a second core is
-    free, but its time does not swing with the load on that core: on
-    two shared cores the worker saves about a quarter of the time in
-    one run and nothing in the next.
+    With `overlap` False the calling thread takes every block, to the
+    same endpoints.  That is slower where a second core is free, but
+    its time does not swing with the load on that core.
     """
     from . import moments
 
@@ -220,20 +256,27 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
     if overlap and _reducer is None:
         _reducer = futures.ThreadPoolExecutor(1)
 
-    rng = _rng(seed, stream)
     ends = np.empty((3, n_paths), dtype=complex)
-    job = None
+    claims = _Claims(-(-n_paths // _PATH_BLOCK))
+    width = 2 * min(n_paths, _PATH_BLOCK)
+    buffers = np.empty((2 if overlap else 1, width, N))
+
+    def work(rows):
+        try:
+            while (b := claims.claim()) is not None:
+                start = b * _PATH_BLOCK
+                size = min(_PATH_BLOCK, n_paths - start)
+                white = rows[:2 * size]
+                _rng(seed, stream, b).standard_normal(out=white)
+                _reduce_rows(white, kernel, kappa, dt,
+                             ends[:, start:start + size])
+        except BaseException:
+            claims.stop()
+            raise
+
+    job = _reducer.submit(work, buffers[1]) if overlap else None
     try:
-        for start in range(0, n_paths, _PATH_BLOCK):
-            size = min(_PATH_BLOCK, n_paths - start)
-            white = rng.standard_normal((2 * size, N))
-            out = ends[:, start:start + size]
-            if not overlap:
-                _reduce_rows(white, kernel, kappa, dt, out)
-                continue
-            if job is not None:
-                job.result()
-            job = _reducer.submit(_reduce_rows, white, kernel, kappa, dt, out)
+        work(buffers[0])
     finally:
         if job is not None:
             futures.wait([job])
@@ -247,12 +290,13 @@ def _reduce_rows(white, kernel, kappa, dt, out):
     """Write the (nu, z, mu) of the records drawn as `white` into `out`.
 
     `white` holds each path's real and imaginary white rows; `kernel`
-    (None under the plain measure) correlates them first.  Calls no
-    public function, so that `sample_endpoints` can run it on its
-    worker thread.
+    (None under the plain measure) correlates them first, in place.
+    Calls no public function, so that `sample_endpoints` can run it on
+    its worker thread.
     """
-    rows = white if kernel is None else kernel.correlate(white)
-    out[...] = _row_sums(rows, np.sqrt(dt / 2), kappa, dt)
+    if kernel is not None:
+        kernel.correlate(white)
+    out[...] = _row_sums(white, np.sqrt(dt / 2), kappa, dt)
 
 
 def propagate_sde(path, chart="hc"):
@@ -399,8 +443,13 @@ def _row_sums(rows, scale, kappa, dt):
     the scaled rows are copied step-major into a contiguous (n, 2P)
     slab, which is also the block's complex (n, P) record; the real
     weights act on it as one real GEMM, half the flops of the complex
-    product, and the slab stays in cache for the local sum.  Complex
-    numbers are formed only for the per-block sums.  Calls no public
+    product, and the slab stays in cache for the local sum.  The
+    block-level state is a real GEMM on the interleaved edges too, and
+    the start-weighted sum an einsum: complex numbers are formed only
+    for the per-block sums.  A complex GEMM or a GEMV there woke
+    OpenBLAS's thread pool (0.3.31, default threads), whose spinning
+    helper thread then took the second core from `sample_endpoints`;
+    these real products stay on the calling thread.  Calls no public
     function, so that `sample_endpoints` can run it on its worker
     thread.
     """
@@ -422,13 +471,14 @@ def _row_sums(rows, scale, kappa, dt):
         local = local + np.einsum("jp,jp->p", x.view(complex),
                                   out[:n].view(complex).conj())
         edges[:, b] = out[n:]
-    ends, sums = edges.view(complex)
+    ends, sums = edges
 
     last = np.minimum(start + _BLOCK, N) - 1
-    state = np.tril(rho ** np.abs(last[:, None] - last)) @ ends
+    state = (np.tril(rho ** np.abs(last[:, None] - last)) @ ends).view(complex)
+    sums = sums.view(complex)
     root = np.sqrt(kappa)
     nu = root * state[-1]
-    mu = root * (rho ** start @ sums)
+    mu = root * np.einsum("b,bp->p", rho ** start, sums)
     z = kappa * (local + np.einsum("bp,bp->p", sums[1:].conj(), state[:-1]))
     return nu, z, mu
 
@@ -511,7 +561,7 @@ def refine_path(path, factor, seed):
         raise ValueError("refinement factor must be at least 2")
     dw = np.asarray(path.increments)
     dt_fine = path.dt / factor
-    g = _complex_normal(_rng(seed, stream=1), dw.shape + (factor,), dt_fine)
+    g = _complex_normal(_rng(seed, 1, 0), dw.shape + (factor,), dt_fine)
     g -= g.mean(axis=-1, keepdims=True)
     g += dw[..., None] / factor
     fine = g.reshape(dw.shape[:-1] + (dw.shape[-1] * factor,))

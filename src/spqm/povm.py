@@ -128,13 +128,15 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     exact Kraus operator of a record (kappa = 1), and reports the trace
     distance to the dense channel exponential and the trace
     preservation statistics.  Records come in batches of
-    `CHANNEL_CHUNK` paths, batch j from substream j of `seed`, so the
-    result depends on that chunking as well as on the seed.  Each batch
-    is reduced to its endpoints by `paths.sample_endpoints`, so the
-    records take O(`paths._PATH_BLOCK` N) memory.  The reduction runs
-    in the calling thread (`overlap=False`): the worker thread's saving
-    would come and go with the load on the other core, so the cost of
-    a call would not be steady.
+    `CHANNEL_CHUNK` paths, batch j from substream j of `seed` and its
+    block b of `paths._PATH_BLOCK` paths from its own generator, seeded
+    from (seed, j, b), so the result depends on that chunking as well
+    as on the seed.  Each batch is reduced to its endpoints by
+    `paths.sample_endpoints`, so the records take O(`paths._PATH_BLOCK`
+    N) memory.  Every block is drawn and reduced in the calling thread
+    (`overlap=False`): the worker thread's saving would come and go
+    with the load on the other core, so the cost of a call would not
+    be steady.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):

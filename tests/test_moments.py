@@ -150,22 +150,20 @@ def test_determinant_step_ratio_identity():
 
 
 class _BasisDraws:
-    """Stands in for the generator: the white rows are unit vectors.
+    """Stands in for the generator of one row block: unit-vector rows.
 
-    Successive draws, across calls, hand out the rows of the identity
-    with every row stacked twice, so path k's real and imaginary white
-    rows (drawn one after the other) are both the k-th unit vector.
+    Block b holds paths from b * `paths._PATH_BLOCK` on, and path k's
+    real and imaginary white rows (drawn one after the other) are both
+    the k-th unit vector: the rows of the identity, each stacked twice.
     """
 
-    def __init__(self):
-        self.used = 0
+    def __init__(self, block):
+        self.first = 2 * block * paths._PATH_BLOCK
 
-    def standard_normal(self, size):
-        rows, n = size
-        basis = np.repeat(np.eye(n), 2, axis=0)
-        out = basis[self.used:self.used + rows]
-        self.used += rows
-        return out
+    def standard_normal(self, out):
+        rows, n = out.shape
+        out[...] = np.repeat(np.eye(n), 2, axis=0)[self.first:
+                                                   self.first + rows]
 
 
 def _banded_correlate(kernel, white):
@@ -184,10 +182,9 @@ def test_correlate_matches_banded_solve(N):
     # Blocks of 32 steps: one short block, one short of a block, one
     # exact block, a block plus one step, and many blocks plus a tail.
     kernel = moments.build_kernel(N, 1e-3, 1.0)
-    white = np.random.default_rng(N).standard_normal((70, N))
-    got = kernel.correlate(white)
-    want = _banded_correlate(kernel, white)
-    assert got.shape == want.shape
+    got = np.random.default_rng(N).standard_normal((70, N))
+    want = _banded_correlate(kernel, got)
+    kernel.correlate(got)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -198,9 +195,9 @@ def test_correlate_matches_banded_solve_near_regime_edge(seed):
     # 1.6e-15 to 3.2e-15 relative over 20 seeds.
     kernel = moments.build_kernel(261, 0.1, 1.0)
     assert kernel.pivots.min() < 0.34
-    white = np.random.default_rng(seed).standard_normal((64, 261))
-    got = kernel.correlate(white)
-    want = _banded_correlate(kernel, white)
+    got = np.random.default_rng(seed).standard_normal((64, 261))
+    want = _banded_correlate(kernel, got)
+    kernel.correlate(got)
     assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
 
 
@@ -236,7 +233,8 @@ def test_sample_modified_exact_covariance(monkeypatch, N, dt):
     # With the draws replaced by an orthonormal basis (real and
     # imaginary parts alike), the sum of dw* dw^T over the N paths is
     # the covariance the sampler's factors produce, with no Monte Carlo.
-    monkeypatch.setattr(paths, "_rng", lambda seed, stream=0: _BasisDraws())
+    monkeypatch.setattr(paths, "_rng",
+                        lambda seed, stream, block: _BasisDraws(block))
     dw = paths.sample_modified(N, dt, 1.0, seed=0, n_paths=N).increments
     cov = dw.conj().T @ dw
     dense = moments.build_kernel(N, dt, 1.0).matrix

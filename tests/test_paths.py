@@ -1,6 +1,8 @@
 """Tests for path sampling, SDE integration, and the Kraus product."""
 
 import decimal
+import sys
+import threading
 from concurrent import futures
 
 import numpy as np
@@ -31,24 +33,22 @@ def test_sample_wiener_deterministic():
 
 
 # First three increments of two paths at seed 17 (N = 40, dt = 1e-3,
-# kappa = 1).  The modified values are those of the banded-solve
-# sampler that the blocked factor replaced: its white stream is
-# unchanged.  The plain values pin the row layout (real row, then
-# imaginary row, per path) that replaced adjacent (re, im) pairs.
+# kappa = 1), drawn from block 0's generator `paths._rng(17, 0, 0)`:
+# SFC64 rows, path p's real row 2p and imaginary row 2p+1.
 _MODIFIED_SEED_17 = [
-    [0.024447001954732248 + 0.008569292698658023j,
-     0.0073730878451790756 - 0.054644194632247595j,
-     -0.012266730811694314 - 0.0026231388894315723j],
-    [0.04995642341479639 - 0.035652078101515446j,
-     0.0022246315843820917 + 0.011653754525412409j,
-     -0.02942390507192233 - 0.0004245790468402432j]]
+    [0.06340470309718925 + 0.022952654067577318j,
+     -0.0070378173707709235 - 0.009639477493059961j,
+     -0.0014377667417930064 + 0.007126985236242573j],
+    [0.0314642377888511 - 0.006952149825552851j,
+     0.012176574016873073 - 0.02779352545324794j,
+     0.004293640751210913 + 0.00941101277273353j]]
 _PLAIN_SEED_17 = [
-    [0.024624977071072758 + 0.00877834220842806j,
-     0.007567553402928906 - 0.05445758896531983j,
-     -0.012074130140203984 - 0.0024647270662825657j],
-    [0.0498283741202272 - 0.035788698574812275j,
-     0.0021223716611783097 + 0.011504677038518893j,
-     -0.029540106926276975 - 0.0005684647763559893j]]
+    [0.06321272582919081 + 0.022944960957582427j,
+     -0.007202090463192275 - 0.009640508210641097j,
+     -0.0016067871303202372 + 0.007124684482644406j],
+    [0.03149469230170078 - 0.00713352977547297j,
+     0.01222900216093736 - 0.02799285826597897j,
+     0.0043544929781408346 + 0.00920184486125922j]]
 
 
 def test_sample_modified_stream_is_pinned():
@@ -61,12 +61,20 @@ def test_sample_modified_stream_is_pinned():
 def test_sample_wiener_stream_is_pinned():
     got = paths.sample_wiener(40, 1e-3, 1.0, seed=17, n_paths=2)
     assert np.array_equal(got.increments[:, :3], np.array(_PLAIN_SEED_17))
-    # One path is the first path of a batch, and the layout is the one
-    # the endpoint stream draws: rows[2p] + 1j rows[2p+1].
-    single = paths.sample_wiener(40, 1e-3, 1.0, seed=17)
+
+
+def test_sample_wiener_blocks_are_substreams():
+    # Block b of 256 paths holds the rows of its own generator
+    # _rng(seed, stream, b), rows[2p] + 1j rows[2p+1] for its path p,
+    # and one path is the first path of a batch.
+    N, dt, scale = 40, 1e-3, np.sqrt(1e-3 / 2)
+    got = paths.sample_wiener(N, dt, 1.0, seed=17, n_paths=600, stream=2)
+    for b, size in enumerate((256, 256, 88)):
+        rows = paths._rng(17, 2, b).standard_normal((2 * size, N)) * scale
+        block = got.increments[256 * b:256 * b + size]
+        assert np.array_equal(block, rows[0::2] + 1j * rows[1::2])
+    single = paths.sample_wiener(N, dt, 1.0, seed=17, stream=2)
     assert np.array_equal(single.increments, got.increments[0])
-    rows = paths._rng(17).standard_normal((4, 40)) * np.sqrt(1e-3 / 2)
-    assert np.array_equal(got.increments, rows[0::2] + 1j * rows[1::2])
 
 
 def test_sample_modified_small_kappa_is_plain():
@@ -247,30 +255,113 @@ class _RecordingPool(futures.ThreadPoolExecutor):
         return job
 
 
-def test_sample_endpoints_worker_error_propagates(monkeypatch):
-    reduce, calls = paths._row_sums, []
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_sample_endpoints_worker_error_propagates(monkeypatch, failing):
+    # Each thread holds one of the 8 blocks when the failing one raises;
+    # the other then claims no further block, and the error is raised
+    # with no job in flight.
+    reduce, caller = paths._reduce_rows, threading.current_thread()
+    inside, stopped, calls = threading.Event(), threading.Event(), []
 
-    def fail_on_second_block(rows, scale, kappa, dt):
-        calls.append(rows.shape[0])
-        if len(calls) == 2:
-            raise RuntimeError("second block")
-        return reduce(rows, scale, kappa, dt)
+    class Claims(paths._Claims):
+        def stop(self):
+            super().stop()
+            stopped.set()
+
+    def reduce_or_fail(*args):
+        role = "caller" if threading.current_thread() is caller else "worker"
+        calls.append(role)
+        if role == failing:
+            inside.wait(10)
+            raise RuntimeError(f"{role} block")
+        inside.set()
+        stopped.wait(10)
+        return reduce(*args)
 
     pool = _RecordingPool()
     monkeypatch.setattr(paths, "_reducer", pool)
-    monkeypatch.setattr(paths, "_row_sums", fail_on_second_block)
-    with pytest.raises(RuntimeError, match="second block"):
-        paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 1000)
-    assert len(pool.jobs) == 2 and all(job.done() for job in pool.jobs)
+    monkeypatch.setattr(paths, "_Claims", Claims)
+    monkeypatch.setattr(paths, "_reduce_rows", reduce_or_fail)
+    with pytest.raises(RuntimeError, match=f"{failing} block"):
+        paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 2000)
+    assert stopped.is_set()
+    assert sorted(calls) == ["caller", "worker"]
+    assert len(pool.jobs) == 1 and pool.jobs[0].done()
 
-    monkeypatch.setattr(paths, "_row_sums", reduce)
-    got = paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 1000)
+    monkeypatch.setattr(paths, "_reduce_rows", reduce)
+    got = paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 2000)
     want = paths.closed_form_hc(paths.sample_wiener(40, 1e-3, 1.0, 2,
-                                                    n_paths=1000))
+                                                    n_paths=2000))
     for name in ("nu", "mu", "z"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
     pool.shutdown()
+
+
+class _EagerPool:
+    """Runs each job at once, so the worker's part claims every block
+    before the calling thread asks for one."""
+
+    def __init__(self, calls):
+        self.calls, self.taken = calls, None
+
+    def submit(self, fn, *args):
+        before = len(self.calls)
+        job = futures.Future()
+        job.set_result(fn(*args))
+        self.taken = len(self.calls) - before
+        return job
+
+
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_sample_endpoints_do_not_depend_on_schedule(monkeypatch, measure):
+    # Bitwise the same endpoints whether the two threads interleave,
+    # the calling thread takes every block, or the worker does.
+    reduce, calls = paths._reduce_rows, []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return reduce(*args)
+
+    monkeypatch.setattr(paths, "_reduce_rows", counting)
+    args = (measure, 40, 1e-3, 1.0, 5, 1300)
+    runs = [paths.sample_endpoints(*args, stream=1),
+            paths.sample_endpoints(*args, stream=1, overlap=False)]
+    pool = _EagerPool(calls)
+    monkeypatch.setattr(paths, "_reducer", pool)
+    runs.append(paths.sample_endpoints(*args, stream=1))
+    assert pool.taken == 6  # 5 blocks of 256 paths and one of 20
+    for got in runs[1:]:
+        for name in ("nu", "mu", "z"):
+            assert np.array_equal(getattr(got, name), getattr(runs[0], name))
+
+
+def test_claims_hand_out_each_block_once():
+    # Eight threads race for 20,000 claims with a short switch interval;
+    # a lost update would hand out some index twice.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        claims = paths._Claims(20_000)
+        taken = [[] for _ in range(8)]
+
+        def take(mine):
+            while (b := claims.claim()) is not None:
+                mine.append(b)
+
+        threads = [threading.Thread(target=take, args=(t,)) for t in taken]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(sum(taken, [])) == list(range(20_000))
+    claims = paths._Claims(3)
+    assert claims.claim() == 0
+    claims.stop()
+    assert claims.claim() is None
 
 
 @pytest.mark.parametrize("measure", ["plain", "modified"])
