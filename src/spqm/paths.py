@@ -231,8 +231,10 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
     them and reduces them (`_row_sums`).  Generator fills and GEMMs
     release the GIL, so the two run on two cores, and the endpoints do
     not depend on which thread took which block.  Both row buffers are
-    made here, in the calling thread.  Memory is O(`_PATH_BLOCK` N) for
-    the two buffers plus the endpoints.  A failure on either thread
+    made here, in the calling thread, because a buffer freed by the
+    worker would stay in that thread's heap arena and raise the peak
+    memory.  Memory is O(`_PATH_BLOCK` N) for the two buffers plus the
+    endpoints.  A failure on either thread
     stops the other from claiming more blocks and is raised here, with
     no job left running.
 

@@ -255,11 +255,13 @@ class _RecordingPool(futures.ThreadPoolExecutor):
         return job
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_sample_endpoints_worker_error_propagates(monkeypatch, failing):
-    # Each thread holds one of the 8 blocks when the failing one raises;
-    # the other then claims no further block, and the error is raised
-    # with no job in flight.
+def _fail_on_one_thread(monkeypatch, failing):
+    """Run 8 blocks with `failing` ("worker" or "caller") raising.
+
+    Each thread holds one block when the failing one raises; the other
+    must then claim no further block, and the error must be raised
+    with no job in flight.  Afterwards the endpoints are right again.
+    """
     reduce, caller = paths._reduce_rows, threading.current_thread()
     inside, stopped, calls = threading.Event(), threading.Event(), []
 
@@ -296,6 +298,14 @@ def test_sample_endpoints_worker_error_propagates(monkeypatch, failing):
         a, b = getattr(got, name), getattr(want, name)
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
     pool.shutdown()
+
+
+def test_sample_endpoints_worker_error_propagates(monkeypatch):
+    _fail_on_one_thread(monkeypatch, "worker")
+
+
+def test_sample_endpoints_caller_error_stops_worker(monkeypatch):
+    _fail_on_one_thread(monkeypatch, "caller")
 
 
 class _EagerPool:
