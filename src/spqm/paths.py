@@ -234,9 +234,8 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
     made here, in the calling thread, because a buffer freed by the
     worker would stay in that thread's heap arena and raise the peak
     memory.  Memory is O(`_PATH_BLOCK` N) for the two buffers plus the
-    endpoints.  A failure on either thread
-    stops the other from claiming more blocks and is raised here, with
-    no job left running.
+    endpoints.  A failure on either thread stops the other from
+    claiming more blocks and is raised here, with no job left running.
 
     With `overlap` False the calling thread takes every block, to the
     same endpoints.  That is slower where a second core is free, but
