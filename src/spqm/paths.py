@@ -47,12 +47,13 @@ _KRAUS_BLOCK = 64
 #: Taylor coefficients 1/(k+2)! of `_kraus_centre` in powers of -eps.
 _CENTRE_SERIES = tuple(1 / math.factorial(k + 2) for k in range(17))
 
-#: Paths per row block that the samplers draw and `sample_endpoints`
-#: reduces, and that `closed_form_hc` de-interleaves at once.
+#: Paths per row block that the samplers draw (`_each_block`) and that
+#: `closed_form_hc` de-interleaves at once.
 _PATH_BLOCK = 256
 
-#: The one worker thread of `sample_endpoints`, made on first use.
-_reducer = None
+#: The one worker thread of `_each_block`, shared by every sampler and
+#: made on first use.
+_worker = None
 
 
 @dataclass(frozen=True)
@@ -125,79 +126,11 @@ def _complex_normal(rng, shape, dt):
     return x.view(complex)
 
 
-def _draw(kernel, N, dt, seed, n_paths, stream):
-    """Complex increments of `n_paths` records (one record for None).
-
-    Block b of `_PATH_BLOCK` paths fills one (2 paths, N) row buffer
-    from `_rng(seed, stream, b)`, path p's real row 2p and its
-    imaginary row 2p+1.  With `kernel` given the rows are correlated in
-    place by `kernel.correlate` (modified measure); then they are
-    scaled by sqrt(dt/2).  Memory beyond the result is O(`_PATH_BLOCK`
-    N).
-    """
-    count = 1 if n_paths is None else n_paths
-    scale = np.sqrt(dt / 2)
-    dw = np.empty((count, N), dtype=complex)
-    buffer = np.empty((2 * min(count, _PATH_BLOCK), N))
-    for b, start in enumerate(range(0, count, _PATH_BLOCK)):
-        block = dw[start:start + _PATH_BLOCK]
-        rows = buffer[:2 * len(block)]
-        _rng(seed, stream, b).standard_normal(out=rows)
-        if kernel is not None:
-            kernel.correlate(rows)
-        np.multiply(rows[0::2], scale, out=block.real)
-        np.multiply(rows[1::2], scale, out=block.imag)
-    return dw[0] if n_paths is None else dw
-
-
-def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
-    """Draw plain-measure increments dw = (dW^q + i dW^p)/sqrt(2).
-
-    Real and imaginary parts are independent N(0, dt/2).  Paths come in
-    blocks of `_PATH_BLOCK`; block b draws white rows of shape
-    (2 paths, N) from its own generator `_rng(seed, stream, b)`, and
-    its path p is sqrt(dt/2) (rows[2p] + 1j rows[2p+1]), the layout of
-    `sample_modified` and `sample_endpoints`.  A single path is the
-    first path of a batch.  Deterministic for a given (seed, stream);
-    `stream` selects an independent substream, so a chunked Monte Carlo
-    is reproducible for a fixed chunking, and its result depends on the
-    chunking as well as on the seed.
-    """
-    if N < 1:
-        raise ValueError("need at least one increment")
-    dw = _draw(None, N, dt, seed, n_paths, stream)
-    return WienerPath(dt=dt, kappa=kappa, increments=dw)
-
-
-def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
-    """Draw increments under the modified (correlated) Gaussian measure.
-
-    The real and imaginary increment vectors each carry covariance
-    (dt/2) M^-1, so <dw_k* dw_l> = dt (M^-1)_{kl} with M the
-    exponential-Toeplitz kernel of `moments.build_kernel`.  Sampling
-    goes through the kernel's O(N) factor M^-1 = F F^T with
-    F = D^T U^-1 (`moments.Kernel.correlate`, blocked GEMMs, in place):
-    x = sqrt(dt/2) F z for white z.  The white rows are drawn as in
-    `sample_wiener`, block b of `_PATH_BLOCK` paths from
-    `_rng(seed, stream, b)`, each path's real row directly followed by
-    its imaginary row, so that `sample_endpoints` can draw any block on
-    its own.  Raises `moments.RegimeError` where the kernel is not
-    positive definite.
-    """
-    from . import moments
-
-    if N < 1:
-        raise ValueError("need at least one increment")
-    kernel = moments.build_kernel(N, dt, kappa)
-    dw = _draw(kernel, N, dt, seed, n_paths, stream)
-    return WienerPath(dt=dt, kappa=kappa, increments=dw)
-
-
 class _Claims:
     """Block indices 0..count-1, each handed out once, in order.
 
     `claim` returns the next index, or None once all are out or after
-    `stop`.  Shared by the threads of `sample_endpoints`.
+    `stop`.  Shared by the two threads of `_each_block`.
     """
 
     def __init__(self, count):
@@ -216,30 +149,137 @@ class _Claims:
             self._next = self._count
 
 
-def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
-                     overlap=True):
+def _each_block(kernel, N, seed, stream, n_paths, step, *args):
+    """Call step(rows, start, *args) on every block of `n_paths` records.
+
+    Block b holds the paths from start = b `_PATH_BLOCK` on, at most
+    `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from its
+    own generator `_rng(seed, stream, b)`: path p's real row 2p and its
+    imaginary row 2p+1.  With `kernel` given the rows are correlated in
+    place by `kernel.correlate` (modified measure) before `step` sees
+    them.  The calling thread and the worker thread `_worker` claim
+    block indices from one shared counter, and each draws the blocks it
+    claims into its own row buffer.  Generator fills and GEMMs release
+    the GIL, so the two run on two cores; each block has its own
+    generator and `step` writes it to its own slot, so the result does
+    not depend on which thread took which block.  Both row buffers are
+    made here, in the calling thread, because a buffer freed by the
+    worker would stay in that thread's heap arena and raise the peak
+    memory.  `step` calls no public function, so that a tracer of the
+    public functions sees the whole cost inside the caller's span.  A
+    failure on either thread stops the other from claiming more blocks
+    and is raised here, with no job left running.
+    """
+    global _worker
+    if _worker is None:
+        _worker = futures.ThreadPoolExecutor(1)
+    claims = _Claims(-(-n_paths // _PATH_BLOCK))
+    buffers = np.empty((2, 2 * min(n_paths, _PATH_BLOCK), N))
+
+    def work(buffer):
+        try:
+            while (b := claims.claim()) is not None:
+                start = b * _PATH_BLOCK
+                rows = buffer[:2 * min(_PATH_BLOCK, n_paths - start)]
+                _rng(seed, stream, b).standard_normal(out=rows)
+                if kernel is not None:
+                    kernel.correlate(rows)
+                step(rows, start, *args)
+        except BaseException:
+            claims.stop()
+            raise
+
+    job = _worker.submit(work, buffers[1])
+    try:
+        work(buffers[0])
+    finally:
+        futures.wait([job])
+    job.result()
+
+
+def _store_rows(rows, start, dw, scale):
+    """Write the records of `rows`, times `scale`, into dw[start:]."""
+    block = dw[start:start + len(rows) // 2]
+    np.multiply(rows[0::2], scale, out=block.real)
+    np.multiply(rows[1::2], scale, out=block.imag)
+
+
+def _reduce_rows(rows, start, ends, kappa, dt):
+    """Write the (nu, z, mu) of the records of `rows` into ends[:, start:]."""
+    ends[:, start:start + len(rows) // 2] = _row_sums(rows, np.sqrt(dt / 2),
+                                                      kappa, dt)
+
+
+def _draw(kernel, N, dt, seed, n_paths, stream):
+    """Complex increments of `n_paths` records (one record for None).
+
+    The blocks of `_each_block`, scaled by sqrt(dt/2) into their slots.
+    Memory beyond the result is O(`_PATH_BLOCK` N).
+    """
+    count = 1 if n_paths is None else n_paths
+    dw = np.empty((count, N), dtype=complex)
+    _each_block(kernel, N, seed, stream, count, _store_rows, dw,
+                np.sqrt(dt / 2))
+    return dw[0] if n_paths is None else dw
+
+
+def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
+    """Draw plain-measure increments dw = (dW^q + i dW^p)/sqrt(2).
+
+    Real and imaginary parts are independent N(0, dt/2).  Paths come in
+    blocks of `_PATH_BLOCK`; block b draws white rows of shape
+    (2 paths, N) from its own generator `_rng(seed, stream, b)`, and
+    its path p is sqrt(dt/2) (rows[2p] + 1j rows[2p+1]), the layout of
+    `sample_modified` and `sample_endpoints`.  The blocks are drawn on
+    two threads, the calling one and one worker (`_each_block`), and
+    the increments do not depend on which thread took which block.  A
+    single path is the first path of a batch.  Deterministic for a
+    given (seed, stream); `stream` selects an independent substream, so
+    a chunked Monte Carlo is reproducible for a fixed chunking, and its
+    result depends on the chunking as well as on the seed.
+    """
+    if N < 1:
+        raise ValueError("need at least one increment")
+    dw = _draw(None, N, dt, seed, n_paths, stream)
+    return WienerPath(dt=dt, kappa=kappa, increments=dw)
+
+
+def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
+    """Draw increments under the modified (correlated) Gaussian measure.
+
+    The real and imaginary increment vectors each carry covariance
+    (dt/2) M^-1, so <dw_k* dw_l> = dt (M^-1)_{kl} with M the
+    exponential-Toeplitz kernel of `moments.build_kernel`.  Sampling
+    goes through the kernel's O(N) factor M^-1 = F F^T with
+    F = D^T U^-1 (`moments.Kernel.correlate`, blocked GEMMs, in place):
+    x = sqrt(dt/2) F z for white z.  The white rows are drawn as in
+    `sample_wiener`, block b of `_PATH_BLOCK` paths from
+    `_rng(seed, stream, b)`, each path's real row directly followed by
+    its imaginary row, and each block is correlated on the thread that
+    drew it; as there, two threads share the blocks and the increments
+    do not depend on the schedule.  Raises `moments.RegimeError` where
+    the kernel is not positive definite.
+    """
+    from . import moments
+
+    if N < 1:
+        raise ValueError("need at least one increment")
+    kernel = moments.build_kernel(N, dt, kappa)
+    dw = _draw(kernel, N, dt, seed, n_paths, stream)
+    return WienerPath(dt=dt, kappa=kappa, increments=dw)
+
+
+def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     """HC endpoints of `n_paths` records, without holding the records.
 
     Returns what `closed_form_hc` gives for `sample_wiener` (measure
     "plain") or `sample_modified` (measure "modified") called with the
-    same arguments.  The paths come in blocks of `_PATH_BLOCK`, block b
-    drawn from its own generator `_rng(seed, stream, b)` (as in those
-    samplers) into a fixed slot of the result.  The calling thread and
-    one worker thread claim block indices from one shared counter; each
-    draws the blocks it claims into its own row buffer, correlates them
-    in place (modified measure, `moments.Kernel.correlate`), scales
-    them and reduces them (`_row_sums`).  Generator fills and GEMMs
-    release the GIL, so the two run on two cores, and the endpoints do
-    not depend on which thread took which block.  Both row buffers are
-    made here, in the calling thread, because a buffer freed by the
-    worker would stay in that thread's heap arena and raise the peak
-    memory.  Memory is O(`_PATH_BLOCK` N) for the two buffers plus the
-    endpoints.  A failure on either thread stops the other from
-    claiming more blocks and is raised here, with no job left running.
-
-    With `overlap` False the calling thread takes every block, to the
-    same endpoints.  That is slower where a second core is free, but
-    its time does not swing with the load on that core.
+    same arguments.  The blocks of records are drawn and correlated as
+    in those samplers, on the same two threads (`_each_block`), and
+    each is scaled and reduced (`_row_sums`) into its fixed slot of the
+    result, so the endpoints do not depend on the schedule either.
+    Memory is O(`_PATH_BLOCK` N) for the two row buffers plus the
+    endpoints.
     """
     from . import moments
 
@@ -253,51 +293,11 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0,
         kernel = moments.build_kernel(N, dt, kappa)
     else:
         raise ValueError(f"unknown measure {measure!r}")
-    global _reducer
-    if overlap and _reducer is None:
-        _reducer = futures.ThreadPoolExecutor(1)
-
     ends = np.empty((3, n_paths), dtype=complex)
-    claims = _Claims(-(-n_paths // _PATH_BLOCK))
-    width = 2 * min(n_paths, _PATH_BLOCK)
-    buffers = np.empty((2 if overlap else 1, width, N))
-
-    def work(rows):
-        try:
-            while (b := claims.claim()) is not None:
-                start = b * _PATH_BLOCK
-                size = min(_PATH_BLOCK, n_paths - start)
-                white = rows[:2 * size]
-                _rng(seed, stream, b).standard_normal(out=white)
-                _reduce_rows(white, kernel, kappa, dt,
-                             ends[:, start:start + size])
-        except BaseException:
-            claims.stop()
-            raise
-
-    job = _reducer.submit(work, buffers[1]) if overlap else None
-    try:
-        work(buffers[0])
-    finally:
-        if job is not None:
-            futures.wait([job])
-    if job is not None:
-        job.result()
+    _each_block(kernel, N, seed, stream, n_paths, _reduce_rows, ends, kappa,
+                dt)
     nu, z, mu = ends
     return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
-
-
-def _reduce_rows(white, kernel, kappa, dt, out):
-    """Write the (nu, z, mu) of the records drawn as `white` into `out`.
-
-    `white` holds each path's real and imaginary white rows; `kernel`
-    (None under the plain measure) correlates them first, in place.
-    Calls no public function, so that `sample_endpoints` can run it on
-    its worker thread.
-    """
-    if kernel is not None:
-        kernel.correlate(white)
-    out[...] = _row_sums(white, np.sqrt(dt / 2), kappa, dt)
 
 
 def propagate_sde(path, chart="hc"):
@@ -449,9 +449,9 @@ def _row_sums(rows, scale, kappa, dt):
     the start-weighted sum an einsum: complex numbers are formed only
     for the per-block sums.  A complex GEMM or a GEMV there woke
     OpenBLAS's thread pool (0.3.31, default threads), whose spinning
-    helper thread then took the second core from `sample_endpoints`;
-    these real products stay on the calling thread.  Calls no public
-    function, so that `sample_endpoints` can run it on its worker
+    helper thread then took the second core from the samplers' worker
+    thread; these real products stay on the calling thread.  Calls no
+    public function, so that `_each_block` can run it on its worker
     thread.
     """
     width, N = rows.shape

@@ -50,19 +50,20 @@ def partition_function_check(kT, dim):
     Returns a dict with the truncated trace, the closed form
     1/(2 sinh 2kT), the residual of the identity, and a truncation
     warning flag when the dropped geometric tail exceeds ~1e-12
-    (dim * 4kT below about 30).
+    (dim * 4kT below about 30).  With 2 sinh 2kT = e^{2kT}(1 - e^{-4kT})
+    every field is a product of decaying factors, finite at any kT: the
+    residual is |(1 - e^{-4kT}) sum_n e^{-4kT n} - 1| and the dropped
+    tail, relative to the closed form, is e^{-2kT (2 dim - 1)}.
     """
     if kT <= 0:
         raise ValueError("need kT > 0")
-    levels = np.arange(dim) + 0.5
-    trace = np.sum(np.exp(-4 * kT * levels))
-    closed = 1 / (2 * np.sinh(2 * kT))
-    tail = np.exp(-4 * kT * dim) / (1 - np.exp(-4 * kT))
+    powers = np.exp(-4 * kT * np.arange(dim))
+    gap = -np.expm1(-4 * kT)
     return {
-        "trace": trace,
-        "closed_form": closed,
-        "residual": abs(trace * 2 * np.sinh(2 * kT) - 1),
-        "truncation_warning": bool(tail * 2 * np.sinh(2 * kT) > 1e-12),
+        "trace": np.sum(np.exp(-4 * kT * (np.arange(dim) + 0.5))),
+        "closed_form": np.exp(-2 * kT) / gap,
+        "residual": abs(gap * powers.sum() - 1),
+        "truncation_warning": bool(np.exp(-2 * kT * (2 * dim - 1)) > 1e-12),
     }
 
 
@@ -72,7 +73,8 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     Evaluates 2 sinh(2kT) int (d2alpha/pi) D_a e^{-4kT Ho} D_a_dag by
     Gauss-Laguerre quadrature in u = (1 - e^{-4kT}) |alpha|^2 and a
     uniform angular grid, and returns the operator-norm deviation from
-    the identity on the top-left dim/2 block.
+    the identity on the top-left dim/2 block; dim < 2 leaves that block
+    empty and raises ValueError.
 
     The POVM elements are the Cartan elements (alpha, 0, 4kT, 0, alpha),
     one batched `group.represent` over the radial nodes, exact at any
@@ -90,6 +92,8 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     """
     if kT <= 0:
         raise ValueError("need kT > 0")
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2, got {dim}")
     if dim // 2 > angular_nodes:
         raise ValueError(f"reported block of {dim // 2} levels is aliased "
                          f"by {angular_nodes} angular nodes; need "
@@ -133,11 +137,11 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     from (seed, j, b), so the result depends on that chunking as well
     as on the seed.  Each batch is reduced to its endpoints by
     `paths.sample_endpoints`, so the records take O(`paths._PATH_BLOCK`
-    N) memory.  Every block is drawn and reduced in the calling thread
-    (`overlap=False`): the worker thread's saving would come and go
-    with the load on the other core, so the cost of a call would not
-    be steady.
+    N) memory.  Raises ValueError for n_paths < 1; with one path the
+    trace standard error is inf.
     """
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError("rho must be a dim x dim matrix")
@@ -163,7 +167,7 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     for stream, start in enumerate(range(0, n_paths, CHANNEL_CHUNK)):
         size = min(CHANNEL_CHUNK, n_paths - start)
         ends = paths.sample_endpoints("plain", N, dt, 1.0, seed, size,
-                                      stream=stream, overlap=False)
+                                      stream=stream)
         v = group.represent(ends, dim) @ factor
         rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
         traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)
@@ -177,7 +181,8 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     return ChannelReport(
         dim=dim, kT=kT, trace_distance=trace_distance,
         trace_mean=traces.mean(),
-        trace_stderr=traces.std(ddof=1) / np.sqrt(n_paths),
+        trace_stderr=(traces.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1
+                      else np.inf),
         n_paths=n_paths, seed=seed,
         metadata={"dt": dt, "chunk": CHANNEL_CHUNK},
     )

@@ -1,6 +1,7 @@
 """Tests for path sampling, SDE integration, and the Kraus product."""
 
 import decimal
+import inspect
 import sys
 import threading
 from concurrent import futures
@@ -255,14 +256,47 @@ class _RecordingPool(futures.ThreadPoolExecutor):
         return job
 
 
-def _fail_on_one_thread(monkeypatch, failing):
-    """Run 8 blocks with `failing` ("worker" or "caller") raising.
+# Per sampler: a call drawing 8 blocks of 256 paths and the private
+# per-block step (`paths._each_block`) it runs on either thread.
+_FAILING_RUNS = {
+    "endpoints": ("_reduce_rows", lambda: paths.sample_endpoints(
+        "plain", 40, 1e-3, 1.0, 2, 2000)),
+    "records": ("_store_rows", lambda: paths.sample_wiener(
+        40, 1e-3, 1.0, 2, n_paths=2000)),
+}
+
+
+def _arrays(out):
+    """The arrays of a sampler's result: increments or (nu, mu, z)."""
+    if isinstance(out, paths.WienerPath):
+        return [out.increments]
+    return [out.nu, out.mu, out.z]
+
+
+class _BlockingPool(futures.ThreadPoolExecutor):
+    """A one-thread pool that finishes each job before handing it back,
+    so its thread claims every block."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def submit(self, *args, **kwargs):
+        job = super().submit(*args, **kwargs)
+        futures.wait([job])
+        return job
+
+
+def _fail_on_one_thread(monkeypatch, failing, sampler):
+    """Run `sampler`'s 8 blocks with `failing` ("worker" or "caller")
+    raising.
 
     Each thread holds one block when the failing one raises; the other
     must then claim no further block, and the error must be raised
-    with no job in flight.  Afterwards the endpoints are right again.
+    with no job in flight.  Afterwards the result is the same again.
     """
-    reduce, caller = paths._reduce_rows, threading.current_thread()
+    hook, run = _FAILING_RUNS[sampler]
+    want = run()
+    step, caller = getattr(paths, hook), threading.current_thread()
     inside, stopped, calls = threading.Event(), threading.Event(), []
 
     class Claims(paths._Claims):
@@ -270,7 +304,7 @@ def _fail_on_one_thread(monkeypatch, failing):
             super().stop()
             stopped.set()
 
-    def reduce_or_fail(*args):
+    def step_or_fail(*args):
         role = "caller" if threading.current_thread() is caller else "worker"
         calls.append(role)
         if role == failing:
@@ -278,34 +312,38 @@ def _fail_on_one_thread(monkeypatch, failing):
             raise RuntimeError(f"{role} block")
         inside.set()
         stopped.wait(10)
-        return reduce(*args)
+        return step(*args)
 
     pool = _RecordingPool()
-    monkeypatch.setattr(paths, "_reducer", pool)
+    monkeypatch.setattr(paths, "_worker", pool)
     monkeypatch.setattr(paths, "_Claims", Claims)
-    monkeypatch.setattr(paths, "_reduce_rows", reduce_or_fail)
+    monkeypatch.setattr(paths, hook, step_or_fail)
     with pytest.raises(RuntimeError, match=f"{failing} block"):
-        paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 2000)
+        run()
     assert stopped.is_set()
     assert sorted(calls) == ["caller", "worker"]
     assert len(pool.jobs) == 1 and pool.jobs[0].done()
 
-    monkeypatch.setattr(paths, "_reduce_rows", reduce)
-    got = paths.sample_endpoints("plain", 40, 1e-3, 1.0, 2, 2000)
-    want = paths.closed_form_hc(paths.sample_wiener(40, 1e-3, 1.0, 2,
-                                                    n_paths=2000))
-    for name in ("nu", "mu", "z"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+    monkeypatch.setattr(paths, hook, step)
+    for got, ref in zip(_arrays(run()), _arrays(want)):
+        assert np.array_equal(got, ref)
     pool.shutdown()
 
 
 def test_sample_endpoints_worker_error_propagates(monkeypatch):
-    _fail_on_one_thread(monkeypatch, "worker")
+    _fail_on_one_thread(monkeypatch, "worker", "endpoints")
 
 
 def test_sample_endpoints_caller_error_stops_worker(monkeypatch):
-    _fail_on_one_thread(monkeypatch, "caller")
+    _fail_on_one_thread(monkeypatch, "caller", "endpoints")
+
+
+def test_sample_wiener_worker_error_propagates(monkeypatch):
+    _fail_on_one_thread(monkeypatch, "worker", "records")
+
+
+def test_sample_wiener_caller_error_stops_worker(monkeypatch):
+    _fail_on_one_thread(monkeypatch, "caller", "records")
 
 
 class _EagerPool:
@@ -323,27 +361,47 @@ class _EagerPool:
         return job
 
 
-@pytest.mark.parametrize("measure", ["plain", "modified"])
-def test_sample_endpoints_do_not_depend_on_schedule(monkeypatch, measure):
-    # Bitwise the same endpoints whether the two threads interleave,
-    # the calling thread takes every block, or the worker does.
-    reduce, calls = paths._reduce_rows, []
+class _IdlePool:
+    """Never runs its jobs, so the calling thread claims every block."""
+
+    def submit(self, fn, *args):
+        job = futures.Future()
+        job.set_result(None)
+        return job
+
+
+def _check_schedules(monkeypatch, hook, run):
+    # Bitwise the same result whether the two threads interleave, the
+    # calling thread takes every block, or the worker does.
+    step, calls = getattr(paths, hook), []
 
     def counting(*args):
         calls.append(args[0].shape)
-        return reduce(*args)
+        return step(*args)
 
-    monkeypatch.setattr(paths, "_reduce_rows", counting)
-    args = (measure, 40, 1e-3, 1.0, 5, 1300)
-    runs = [paths.sample_endpoints(*args, stream=1),
-            paths.sample_endpoints(*args, stream=1, overlap=False)]
+    monkeypatch.setattr(paths, hook, counting)
+    runs = [run()]
+    monkeypatch.setattr(paths, "_worker", _IdlePool())
+    runs.append(run())
     pool = _EagerPool(calls)
-    monkeypatch.setattr(paths, "_reducer", pool)
-    runs.append(paths.sample_endpoints(*args, stream=1))
+    monkeypatch.setattr(paths, "_worker", pool)
+    runs.append(run())
     assert pool.taken == 6  # 5 blocks of 256 paths and one of 20
     for got in runs[1:]:
-        for name in ("nu", "mu", "z"):
-            assert np.array_equal(getattr(got, name), getattr(runs[0], name))
+        for a, b in zip(_arrays(got), _arrays(runs[0])):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_sample_endpoints_do_not_depend_on_schedule(monkeypatch, measure):
+    _check_schedules(monkeypatch, "_reduce_rows", lambda: (
+        paths.sample_endpoints(measure, 40, 1e-3, 1.0, 5, 1300, stream=1)))
+
+
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_sampled_records_do_not_depend_on_schedule(monkeypatch, measure):
+    _check_schedules(monkeypatch, "_store_rows", lambda: SAMPLERS[measure](
+        40, 1e-3, 1.0, 5, n_paths=1300, stream=1))
 
 
 def test_claims_hand_out_each_block_once():
@@ -374,38 +432,36 @@ def test_claims_hand_out_each_block_once():
     assert claims.claim() is None
 
 
-@pytest.mark.parametrize("measure", ["plain", "modified"])
-def test_sample_endpoints_without_overlap_uses_no_worker(monkeypatch,
-                                                         measure):
-    want = paths.sample_endpoints(measure, 40, 1e-3, 1.0, 5, 600, stream=1)
-
-    class Refuse:
-        def submit(self, *args, **kwargs):
-            raise AssertionError("worker thread used")
-
-    monkeypatch.setattr(paths, "_reducer", Refuse())
-    got = paths.sample_endpoints(measure, 40, 1e-3, 1.0, 5, 600, stream=1,
-                                 overlap=False)
-    assert got.r == want.r
-    for name in ("nu", "mu", "z"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
 def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
-    # The worker thread may call no traced (public) function, so the
-    # whole streamed cost stays inside the span of sample_endpoints.
-    want = {m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
-            for m in SAMPLERS}
+    # The worker thread of every sampler may call no traced (public)
+    # function of any layer, so the whole cost stays inside the span of
+    # the sampler on the calling thread.  The pool's thread takes every
+    # block.
+    runs = [lambda m=m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
+            for m in SAMPLERS]
+    runs += [lambda f=f: f(50, 1e-3, 1.0, 4, n_paths=600)
+             for f in SAMPLERS.values()]
+    want = [run() for run in runs]
+    caller = threading.current_thread()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("public function called")
+    def guarded(name, func):
+        def call(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise AssertionError(f"{name} called on the worker thread")
+            return func(*args, **kwargs)
+        return call
 
-    for name in ("closed_form_hc", "sample_wiener", "sample_modified"):
-        monkeypatch.setattr(paths, name, refuse)
-    for measure, end in want.items():
-        got = paths.sample_endpoints(measure, 50, 1e-3, 1.0, 4, 600)
-        for name in ("nu", "mu", "z"):
-            assert np.array_equal(getattr(got, name), getattr(end, name))
+    for layer in (fock, group, moments, paths):
+        for name in layer.__all__:
+            func = getattr(layer, name)
+            if inspect.isfunction(func):
+                monkeypatch.setattr(layer, name, guarded(name, func))
+    pool = _BlockingPool()
+    monkeypatch.setattr(paths, "_worker", pool)
+    for run, ref in zip(runs, want):
+        for a, b in zip(_arrays(run()), _arrays(ref)):
+            assert np.array_equal(a, b)
+    pool.shutdown()
 
 
 def test_sample_endpoints_rejects_unknown_measure():

@@ -1,5 +1,7 @@
 """Tests for POVM completeness and channel verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,27 @@ def test_partition_function_truncation_warning():
     assert report["truncation_warning"]
 
 
+@pytest.mark.parametrize("kT", [400.0, 1e4])
+def test_partition_function_finite_at_large_kt(kT):
+    # 2 sinh 2kT overflows here; the decaying forms stay finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = povm.partition_function_check(kT, 8)
+    assert all(np.isfinite(report[k])
+               for k in ("trace", "closed_form", "residual"))
+    assert report["residual"] <= 1e-15
+    assert not report["truncation_warning"]
+
+
 def test_partition_function_rejects_nonpositive():
     with pytest.raises(ValueError):
         povm.partition_function_check(0.0, 10)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_completeness_rejects_empty_block(dim):
+    with pytest.raises(ValueError, match="dim"):
+        povm.completeness_quadrature(1.0, dim)
 
 
 def test_completeness_identity():
@@ -153,6 +173,24 @@ def test_channel_monte_carlo_small():
                                       dim=dim, seed=77)
     assert report.trace_distance <= 0.05
     assert abs(report.trace_mean - 1.0) <= 3 * report.trace_stderr
+
+
+def test_channel_monte_carlo_rejects_no_paths():
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[0, 0] = 1.0
+    with pytest.raises(ValueError, match="path"):
+        povm.channel_monte_carlo(rho, 0.2, 0, 1e-3, 6, seed=1)
+
+
+def test_channel_monte_carlo_one_path_has_infinite_stderr():
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[0, 0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = povm.channel_monte_carlo(rho, 0.2, 1, 1e-3, 6, seed=1)
+    assert report.n_paths == 1
+    assert np.isfinite(report.trace_mean)
+    assert report.trace_stderr == np.inf
 
 
 def test_channel_monte_carlo_input_validation():
