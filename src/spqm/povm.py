@@ -60,7 +60,7 @@ def partition_function_check(kT, dim):
     powers = np.exp(-4 * kT * np.arange(dim))
     gap = -np.expm1(-4 * kT)
     return {
-        "trace": np.sum(np.exp(-4 * kT * (np.arange(dim) + 0.5))),
+        "trace": np.exp(-2 * kT) * powers.sum(),
         "closed_form": np.exp(-2 * kT) / gap,
         "residual": abs(gap * powers.sum() - 1),
         "truncation_warning": bool(np.exp(-2 * kT * (2 * dim - 1)) > 1e-12),
