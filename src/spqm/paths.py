@@ -165,16 +165,19 @@ def _each_block(kernel, N, seed, stream, n_paths, step, *args):
     not depend on which thread took which block.  Both row buffers are
     made here, in the calling thread, because a buffer freed by the
     worker would stay in that thread's heap arena and raise the peak
-    memory.  `step` calls no public function, so that a tracer of the
-    public functions sees the whole cost inside the caller's span.  A
-    failure on either thread stops the other from claiming more blocks
-    and is raised here, with no job left running.
+    memory.  A single block is drawn on the calling thread alone, as
+    handing it to the worker would cost more than the block.  `step`
+    calls no public function, so that a tracer of the public functions
+    sees the whole cost inside the caller's span.  A failure on either
+    thread stops the other from claiming more blocks and is raised
+    here, with no job left running.
     """
     global _worker
     if _worker is None:
         _worker = futures.ThreadPoolExecutor(1)
-    claims = _Claims(-(-n_paths // _PATH_BLOCK))
-    buffers = np.empty((2, 2 * min(n_paths, _PATH_BLOCK), N))
+    count = -(-n_paths // _PATH_BLOCK)
+    claims = _Claims(count)
+    buffers = np.empty((min(count, 2), 2 * min(n_paths, _PATH_BLOCK), N))
 
     def work(buffer):
         try:
@@ -189,12 +192,13 @@ def _each_block(kernel, N, seed, stream, n_paths, step, *args):
             claims.stop()
             raise
 
-    job = _worker.submit(work, buffers[1])
+    jobs = [_worker.submit(work, buffers[1])] if count > 1 else []
     try:
         work(buffers[0])
     finally:
-        futures.wait([job])
-    job.result()
+        futures.wait(jobs)
+    for job in jobs:
+        job.result()
 
 
 def _store_rows(rows, start, dw, scale):

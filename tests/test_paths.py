@@ -404,6 +404,24 @@ def test_sampled_records_do_not_depend_on_schedule(monkeypatch, measure):
         40, 1e-3, 1.0, 5, n_paths=1300, stream=1))
 
 
+class _RefusingPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("worker thread used")
+
+
+@pytest.mark.parametrize("n_paths", [None, 1, 256])
+def test_single_block_uses_no_worker(monkeypatch, n_paths):
+    # One block is drawn on the calling thread alone.
+    runs = [lambda: paths.sample_wiener(40, 1e-3, 1.0, 5, n_paths=n_paths),
+            lambda: paths.sample_endpoints("modified", 40, 1e-3, 1.0, 5,
+                                           n_paths or 1)]
+    want = [run() for run in runs]
+    monkeypatch.setattr(paths, "_worker", _RefusingPool())
+    for run, ref in zip(runs, want):
+        for a, b in zip(_arrays(run()), _arrays(ref)):
+            assert np.array_equal(a, b)
+
+
 def test_claims_hand_out_each_block_once():
     # Eight threads race for 20,000 claims with a short switch interval;
     # a lost update would hand out some index twice.
@@ -433,6 +451,29 @@ def test_claims_hand_out_each_block_once():
 
 
 def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
+    # Endpoints are reduced from the blocks, never from a record: no
+    # thread may call the public samplers or closed_form_hc, whether
+    # the threads interleave, the calling thread takes every block, or
+    # the worker does.
+    want = {m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
+            for m in SAMPLERS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("public function called")
+
+    for name in ("closed_form_hc", "sample_wiener", "sample_modified"):
+        monkeypatch.setattr(paths, name, refuse)
+    blocking = _BlockingPool()
+    for pool in (paths._worker, _IdlePool(), blocking):
+        monkeypatch.setattr(paths, "_worker", pool)
+        for measure, end in want.items():
+            got = paths.sample_endpoints(measure, 50, 1e-3, 1.0, 4, 600)
+            for a, b in zip(_arrays(got), _arrays(end)):
+                assert np.array_equal(a, b)
+    blocking.shutdown()
+
+
+def test_worker_thread_calls_no_public_function(monkeypatch):
     # The worker thread of every sampler may call no traced (public)
     # function of any layer, so the whole cost stays inside the span of
     # the sampler on the calling thread.  The pool's thread takes every
