@@ -234,10 +234,10 @@ def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
     blocks of `_PATH_BLOCK`; block b draws white rows of shape
     (2 paths, N) from its own generator `_rng(seed, stream, b)`, and
     its path p is sqrt(dt/2) (rows[2p] + 1j rows[2p+1]), the layout of
-    `sample_modified` and `sample_endpoints`.  The blocks are drawn on
-    two threads, the calling one and one worker (`_each_block`), and
-    the increments do not depend on which thread took which block.  A
-    single path is the first path of a batch.  Deterministic for a
+    `sample_modified` and `sample_endpoints`.  Two or more blocks are
+    drawn on two threads, the calling one and one worker
+    (`_each_block`), and the increments do not depend on which thread
+    took which block.  A single path is the first path of a batch.  Deterministic for a
     given (seed, stream); `stream` selects an independent substream, so
     a chunked Monte Carlo is reproducible for a fixed chunking, and its
     result depends on the chunking as well as on the seed.
