@@ -23,14 +23,14 @@ dev = povm.completeness_quadrature(KT, DIM)
 print(f"completeness quadrature (dim {DIM}, top {DIM // 2}x{DIM // 2} "
       f"block): deviation from identity {dev:.2e}")
 
-# Monte Carlo channel vs the dense superoperator exponential.
+# Monte Carlo channel vs the superoperator, exponentiated in offset blocks.
 dim = 8
 rho = np.zeros((dim, dim), dtype=complex)
 rho[0, 0] = 1.0
 channel = povm.channel_monte_carlo(rho, kT=0.3, n_paths=20_000, dt=1e-3,
                                    dim=dim, seed=314)
 print(f"\nchannel Monte Carlo (dim {dim}, kT=0.3, {channel.n_paths} paths):")
-print(f"  trace distance to dense exponential: {channel.trace_distance:.4f}")
+print(f"  trace distance to the superoperator: {channel.trace_distance:.4f}")
 print(f"  trace preservation: {channel.trace_mean:.4f} +- "
       f"{channel.trace_stderr:.4f}")
 

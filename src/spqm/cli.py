@@ -11,7 +11,7 @@ distributions
     Tabulate the reduced-distribution summary functions, optionally
     with a weighted Monte Carlo estimate of the normalization.
 povm
-    Partition-function, completeness, and (small dim) channel checks.
+    Partition-function, completeness, and (with --paths) channel checks.
 verify
     Run the full verification suite, or the checks named by --check;
     exit 0 iff every check run passes.
@@ -66,7 +66,7 @@ def _write(out_path, metadata, header, rows, fmt):
 def _steps(args):
     n = int(round(args.t_final / args.dt))
     if n < 1 or abs(n * args.dt - args.t_final) > 1e-9 * args.dt:
-        raise SystemExit(f"error: t-final {args.t_final} is not a positive "
+        raise ValueError(f"t-final {args.t_final} is not a positive "
                          f"multiple of dt {args.dt}")
     return n
 
@@ -135,7 +135,7 @@ def _cmd_povm(args):
     report = {"partition_residual": partition["residual"],
               "partition_truncation_warning": partition["truncation_warning"],
               "completeness_deviation": completeness}
-    if args.dim <= 10 and args.paths:
+    if args.paths:
         rho = np.zeros((args.dim, args.dim), dtype=complex)
         rho[0, 0] = 1.0
         channel = povm.channel_monte_carlo(rho, kt, args.paths, args.dt,
@@ -222,8 +222,18 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; library errors on its input are usage errors.
+
+    Every typed error of the package subclasses ValueError, so one
+    handler reports them all, and plain ValueErrors, as argparse does
+    its own: usage, message, exit status 2.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

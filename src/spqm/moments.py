@@ -39,7 +39,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RegimeError",
@@ -251,24 +250,31 @@ def direct_moments(kernel):
     u+_k = rho^{N-1-k}, m likewise with the early-weighted load
     u-_k = rho^k, q mixed.  With M^-1 = (D^T U^-1)(D^T U^-1)^T these
     are kappa dt times the Gram matrix of W = U^-T D [u+, u-], one
-    bidiagonal solve.  D u- = e_1 (u- is the first column of K) and
-    D u+ = g u+ but for its first entry rho^{N-1}; both are written in
-    closed form, since differencing the loads would cost digits.
+    lower-bidiagonal forward substitution.  D u- = e_1 (u- is the first
+    column of K) and D u+ = g u+ but for its first entry rho^{N-1}; both
+    are written in closed form, since differencing the loads would cost
+    digits.  The step multiplier -U_{k-1,k} / U_kk = rho / (U_{k-1,k-1}
+    U_kk) is positive, so the early column is its running product and
+    the recent column a recurrence of positive terms, run over Python
+    floats like `_schur_pivots`.
     """
     if kernel.N == 0:
         return MomentTriple(0.0, 0.0, 0.0)
     N, kdt = kernel.N, kernel.kappa * kernel.dt
-    loads = np.zeros((N, 2))
-    loads[:, 0] = -np.expm1(-4 * kdt) * np.exp(
-        -2 * kdt * np.arange(N - 1, -1, -1))
-    loads[0] = np.exp(-2 * kdt * (N - 1)), 1.0
     root, off = kernel._bidiagonal()
-    lower = np.zeros((2, N))
-    lower[0] = root
-    lower[1, :-1] = off
-    w = scipy.linalg.solve_banded((1, 0), lower, loads)
-    (n, q), (_, m) = kdt * (w.T @ w)
-    return MomentTriple(n, m, q)
+    step = -off / root[1:]
+    early = np.cumprod(np.concatenate(([1 / root[0]], step)))
+    recent = -np.expm1(-4 * kdt) * np.exp(-2 * kdt * np.arange(N - 1, -1, -1))
+    recent[0] = math.exp(-2 * kdt * (N - 1))
+    recent /= root
+    w = 0.0
+    column = []
+    for load, factor in zip(recent.tolist(), [0.0] + step.tolist()):
+        w = load + factor * w
+        column.append(w)
+    recent = np.array(column)
+    return MomentTriple(kdt * (recent @ recent), kdt * (early @ early),
+                        kdt * (recent @ early))
 
 
 def recursive_determinant(N, dt, kappa):

@@ -6,9 +6,10 @@ tr e^{-4 kappa T Ho} = 1/(2 sinh 2 kappa T).  This module checks the
 identity directly, performs the phase-space completeness integral by
 quadrature over the exact entries of the POVM elements (angular sum by
 rotation covariance), compares a Monte Carlo average over the exact
-Kraus operators of record endpoints against the dense superoperator
-exponential of the total channel, and measures the late-time collapse
-of the POVM elements onto coherent state outer products.
+Kraus operators of record endpoints against the superoperator of the
+total channel, exponentiated block by block in the offset m - n that
+the channel keeps, and measures the late-time collapse of the POVM
+elements onto coherent state outer products.
 """
 
 from dataclasses import dataclass, field
@@ -109,20 +110,43 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
 
 
 def channel_superoperator(kT, dim):
-    """Dense superoperator e^{-kT (ad_Q^2 + ad_P^2)/2} on the dim^2 space.
+    """Superoperator e^{-kT (ad_Q^2 + ad_P^2)/2} on the dim^2 space.
 
-    Row-major vectorization: vec(X rho) = (X kron I) vec(rho) and
-    vec(rho Y) = (I kron Y^T) vec(rho).  Feasible for dim <= ~10.
+    Row-major vectorization: vec(rho)[m dim + n] = rho_mn.  The
+    generator is ad_Q^2 + ad_P^2 = ad_a ad_a_dag + ad_a_dag ad_a, that is
+
+        rho -> (a a_dag + a_dag a) rho + rho (a a_dag + a_dag a)
+               - 2 (a rho a_dag + a_dag rho a),
+
+    also on the truncated space, where a a_dag + a_dag a is diagonal:
+    d_n = 2n + 1, but d_{dim-1} = dim - 1.  It keeps the offset m - n
+    of |m><n| fixed, so the superoperator is block diagonal in the
+    2 dim - 1 offsets.  The block of offset k >= 0 acts on
+    rho_{n+k, n}, n = 0 .. dim-1-k, as the real symmetric tridiagonal
+    matrix with diagonal d_{n+k} + d_n and coupling
+    -2 sqrt((n+1)(n+k+1)) between n and n + 1; offset -k has the same
+    block.  Each block is exponentiated by its eigendecomposition, an
+    O(dim^3) total; the result is real.  Raises ValueError for dim < 2
+    and NumericalDomainError for non-finite kT.
     """
-    ops = fock.canonical_operators(dim)
-    eye = np.eye(dim)
-
-    def adjoint(x):
-        return np.kron(x, eye) - np.kron(eye, x.T)
-
-    ad_q = adjoint(ops.q)
-    ad_p = adjoint(ops.p)
-    return fock.matrix_exponential(-0.5 * kT * (ad_q @ ad_q + ad_p @ ad_p))
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2, got {dim}")
+    if not np.isfinite(kT):
+        raise fock.NumericalDomainError("channel of non-finite kT")
+    levels = np.arange(dim)
+    d = 2.0 * levels + 1
+    d[-1] = dim - 1
+    out = np.zeros((dim * dim, dim * dim))
+    for k in range(dim):
+        n = levels[:dim - k]
+        coupling = -2 * np.sqrt(n[1:] * (n[1:] + k))
+        block = (np.diag(d[n + k] + d[n]) + np.diag(coupling, 1)
+                 + np.diag(coupling, -1))
+        lam, vecs = np.linalg.eigh(block)
+        exp_block = (vecs * np.exp(-0.5 * kT * lam)) @ vecs.T
+        for index in ((n + k) * dim + n, n * dim + n + k):
+            out[np.ix_(index, index)] = exp_block
+    return out
 
 
 def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
@@ -130,7 +154,7 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
 
     Averages L rho L_dag, with L = represent(closed_form_hc(record)) the
     exact Kraus operator of a record (kappa = 1), and reports the trace
-    distance to the dense channel exponential and the trace
+    distance to `channel_superoperator` applied to rho and the trace
     preservation statistics.  Records come in batches of
     `CHANNEL_CHUNK` paths, batch j from substream j of `seed` and its
     block b of `paths._PATH_BLOCK` paths from its own generator, seeded

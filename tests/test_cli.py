@@ -21,9 +21,11 @@ def test_missing_dt_is_usage_error(capsys):
     assert "--dt" in capsys.readouterr().err
 
 
-def test_bad_step_count_is_usage_error():
-    with pytest.raises(SystemExit):
+def test_bad_step_count_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
         cli.main(["simulate", "--t-final", "0.0105", "--dt", "1e-2"])
+    assert info.value.code == 2
+    assert "not a positive multiple of dt" in capsys.readouterr().err
 
 
 def test_simulate_output(tmp_path):
@@ -93,6 +95,30 @@ def test_povm_report(tmp_path):
     values = dict(zip(header, rows[1].split(",")))
     assert float(values["partition_residual"]) <= 1e-6
     assert float(values["completeness_deviation"]) <= 1e-3
+
+
+def test_povm_library_error_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["povm", "--dim", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "dim must be at least 2, got 1" in err
+    assert "Traceback" not in err
+
+
+def test_povm_channel_at_default_dim(tmp_path):
+    out = tmp_path / "povm.json"
+    code = cli.main(["povm", "--dim", "24", "--paths", "200",
+                     "--format", "json", "--out", str(out)])
+    assert code == 0
+    _, rows = _read_output(out)
+    report = json.loads(rows[0])
+    channel = {k: v for k, v in report.items() if k.startswith("channel_")}
+    assert sorted(channel) == ["channel_trace_distance", "channel_trace_mean",
+                               "channel_trace_stderr"]
+    assert all(np.isfinite(v) for v in channel.values())
+    assert (abs(channel["channel_trace_mean"] - 1)
+            <= 5 * channel["channel_trace_stderr"])
 
 
 def test_verify_exit_codes(monkeypatch, capsys, tmp_path):

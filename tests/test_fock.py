@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spqm import fock
 
@@ -53,6 +54,20 @@ def test_displacement_unitary_interior():
 def test_displacement_is_scalar_only(alpha):
     with pytest.raises(ValueError, match="one alpha at a time"):
         fock.displacement_operator(3, alpha)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 30, 60])
+def test_displacement_matches_expm(dim):
+    ops = fock.canonical_operators(dim)
+    for alpha in (0.3, 1.0 - 0.5j, -2.0j, 2.5 + 1.5j):
+        want = scipy.linalg.expm(ops.a_dag * alpha - ops.a * np.conj(alpha))
+        got = fock.displacement_operator(dim, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_displacement_rejects_nonfinite():
+    with pytest.raises(fock.NumericalDomainError):
+        fock.displacement_operator(4, complex(np.nan, 0.0))
 
 
 def test_displacement_normal_ordered_form():

@@ -99,6 +99,27 @@ def test_direct_moments_vs_dense(N, kdt):
     assert np.max(np.abs(got - want)) <= tol
 
 
+@pytest.mark.parametrize("N, kdt", [(1, 1e-3), (2, 1e-3), (33, 0.03),
+                                    (1000, 1e-3), (4000, 2.5e-4),
+                                    (261, 0.1), (27000, 0.01)])
+def test_direct_moments_vs_banded_solve(N, kdt):
+    # The banded LAPACK solve of U^T W = D [u+, u-] that the forward
+    # substitution replaces; (261, 0.1) and (27000, 0.01) sit at the
+    # regime edge, where the pivots are smallest.
+    kernel = moments.build_kernel(N, kdt, 1.0)
+    root, off = kernel._bidiagonal()
+    lower = np.zeros((2, N))
+    lower[0], lower[1, :-1] = root, off
+    loads = np.zeros((N, 2))
+    loads[:, 0] = -np.expm1(-4 * kdt) * np.exp(
+        -2 * kdt * np.arange(N - 1, -1, -1))
+    loads[0] = np.exp(-2 * kdt * (N - 1)), 1.0
+    w = scipy.linalg.solve_banded((1, 0), lower, loads)
+    (n, q), (_, m) = kdt * (w.T @ w)
+    got = moments.direct_moments(kernel)
+    assert np.max(np.abs(np.array(got) / [n, m, q] - 1)) <= 1e-13
+
+
 def test_direct_moments_single_step():
     kdt = 1e-3
     kernel = moments.build_kernel(1, 1e-3, 1.0)

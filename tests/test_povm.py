@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spqm import dists, fock, group, povm
 
@@ -144,6 +145,32 @@ def test_beta_marginalization_is_unit_gaussian():
     mass = (w[:, None] * w[None, :] * integrand).sum() * scale ** 2 / (
         2 * np.pi * sigma)
     assert abs(mass - 1) <= 1e-10
+
+
+def _dense_channel(kT, dim):
+    """e^{-kT (ad_Q^2 + ad_P^2)/2} by kron products and expm."""
+    ops = fock.canonical_operators(dim)
+    eye = np.eye(dim)
+
+    def adjoint(x):
+        return np.kron(x, eye) - np.kron(eye, x.T)
+
+    ad_q, ad_p = adjoint(ops.q), adjoint(ops.p)
+    return scipy.linalg.expm(-0.5 * kT * (ad_q @ ad_q + ad_p @ ad_p))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 10, 16])
+def test_channel_superoperator_matches_dense(dim):
+    for kT in (0.05, 0.3, 2.0):
+        got = povm.channel_superoperator(kT, dim)
+        assert np.max(np.abs(got - _dense_channel(kT, dim))) <= 1e-13
+
+
+def test_channel_superoperator_rejects_bad_input():
+    with pytest.raises(ValueError, match="dim"):
+        povm.channel_superoperator(0.3, 1)
+    with pytest.raises(fock.NumericalDomainError):
+        povm.channel_superoperator(np.nan, 4)
 
 
 def test_channel_superoperator_identity_limit():
