@@ -224,9 +224,9 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand; library errors on its input are usage errors.
 
-    Every typed error of the package subclasses ValueError, so one
-    handler reports them all, and plain ValueErrors, as argparse does
-    its own: usage, message, exit status 2.
+    Every typed error of the package subclasses ValueError.  Any
+    ValueError is reported the way argparse reports its own errors:
+    usage line, message, exit status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
