@@ -123,7 +123,11 @@ def _cmd_distributions(args):
         extra = {"fk_normalization": est.mean, "fk_stderr": est.stderr,
                  "fk_ess": est.ess,
                  "fk_closed_form": dists.normalization_factor(
-                     args.kappa * args.t_final)}
+                     args.kappa * args.t_final),
+                 "fk_discrete_target": 1 / np.prod(moments.tilted_pivots(
+                     n, args.dt, args.kappa)),
+                 "fk_variance_finite": dists._variance_finite(
+                     n, args.dt, args.kappa)}
     _write(args.out, _metadata(args, **extra), header, rows, args.format)
     return 0
 

@@ -304,15 +304,28 @@ def tilted_pivots(N, dt, kappa):
     RegimeError where W is not positive definite, which it loses far
     before M: from N = 26 at kappa dt = 0.1, 80 at 0.05, 1011 at 0.01.
     """
+    return _tilt_pivots(N, dt, kappa, 1,
+                        "e^{-2s} tilt of the plain measure")
+
+
+def _tilt_pivots(N, dt, kappa, strength, form):
+    """Pivots of D (I - strength kappa dt H) D^T, H as in `tilted_pivots`.
+
+    Strength 1 is the tilt W of e^{-2s}; strength 2 is 2W - I, the
+    tilt of its square e^{-4s}, so E_plain[e^{-4s}] = 1/det(2W - I)
+    and e^{-2s} has finite variance exactly while 2W - I is positive
+    definite.  I - c H = a I - b K with b = c / rho and a = 1 - c + b,
+    c = strength kappa dt.  Raises RegimeError, naming `form`, at the
+    first non-positive pivot.
+    """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if dt <= 0 or kappa < 0:
         raise ValueError("need dt > 0 and kappa >= 0")
     kdt = kappa * dt
-    tilt = kdt / math.exp(-2 * kdt)
-    a = 1 - kdt + tilt
-    return a * _schur_pivots(N, kdt, load=tilt / a,
-                             form="e^{-2s} tilt of the plain measure")
+    tilt = strength * kdt / math.exp(-2 * kdt)
+    a = 1 - strength * kdt + tilt
+    return a * _schur_pivots(N, kdt, load=tilt / a, form=form)
 
 
 def riccati_integrate(kappa, T, steps):
@@ -324,27 +337,39 @@ def riccati_integrate(kappa, T, steps):
 
     from (0, 0, 0) at t = 0.  Returns (times, n, m, q) arrays of
     length steps + 1.  Use at least ~100 steps per unit kappa*T.
+    The stages are written out over Python floats.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     h = T / steps
+    half, sixth = h / 2, h / 6
     times = h * np.arange(steps + 1)
-
-    def rhs(t, n, m, q):
+    n = m = q = 0.0
+    rows = [(n, m, q)]
+    for t in times[:-1].tolist():
         e = math.exp(-2 * kappa * t)
-        return (kappa * (1 - n) ** 2, kappa * (q + e) ** 2,
-                kappa * (-q * (1 - n) + e * (1 + n)))
-
-    out = np.zeros((steps + 1, 3))
-    y = (0.0, 0.0, 0.0)
-    for i, t in enumerate(times[:-1].tolist()):
-        k1 = rhs(t, *y)
-        k2 = rhs(t + h / 2, *(a + h / 2 * b for a, b in zip(y, k1)))
-        k3 = rhs(t + h / 2, *(a + h / 2 * b for a, b in zip(y, k2)))
-        k4 = rhs(t + h, *(a + h * b for a, b in zip(y, k3)))
-        y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        out[i + 1] = y
+        n1 = kappa * (1 - n) ** 2
+        m1 = kappa * (q + e) ** 2
+        q1 = kappa * (-q * (1 - n) + e * (1 + n))
+        a, c = n + half * n1, q + half * q1
+        e = math.exp(-2 * kappa * (t + half))
+        n2 = kappa * (1 - a) ** 2
+        m2 = kappa * (c + e) ** 2
+        q2 = kappa * (-c * (1 - a) + e * (1 + a))
+        a, c = n + half * n2, q + half * q2
+        n3 = kappa * (1 - a) ** 2
+        m3 = kappa * (c + e) ** 2
+        q3 = kappa * (-c * (1 - a) + e * (1 + a))
+        a, c = n + h * n3, q + h * q3
+        e = math.exp(-2 * kappa * (t + h))
+        n4 = kappa * (1 - a) ** 2
+        m4 = kappa * (c + e) ** 2
+        q4 = kappa * (-c * (1 - a) + e * (1 + a))
+        n = n + sixth * (n1 + 2 * n2 + 2 * n3 + n4)
+        m = m + sixth * (m1 + 2 * m2 + 2 * m3 + m4)
+        q = q + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
+        rows.append((n, m, q))
+    out = np.array(rows)
     return times, out[:, 0], out[:, 1], out[:, 2]
 
 

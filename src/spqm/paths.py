@@ -9,7 +9,11 @@ time-ordered Kraus product in a truncated Fock representation.
 
 Inside the samplers a block of records is a real array of rows, each
 path's real row followed by its imaginary row, as the generator draws
-them; complex increments are formed only for the caller.
+them; complex increments are formed only for the caller.  One block
+loop serves three uses: the record samplers store the blocks, the
+endpoint sampler reduces them to (nu, z, mu), and the unweighted
+Feynman-Kac estimate of `dists` projects them onto the linear sums
+(nu, mu) alone, skipping the quadratic centre z.
 
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
@@ -50,6 +54,9 @@ _CENTRE_SERIES = tuple(1 / math.factorial(k + 2) for k in range(17))
 #: Paths per row block that the samplers draw (`_each_block`) and that
 #: `closed_form_hc` de-interleaves at once.
 _PATH_BLOCK = 256
+
+#: Rows per product in `_project_rows`.
+_PROJECT_ROWS = 64
 
 #: The one worker thread of `_each_block`, shared by every sampler and
 #: made on first use.
@@ -152,6 +159,8 @@ class _Claims:
 def _each_block(kernel, N, seed, stream, n_paths, step, *args):
     """Call step(rows, start, *args) on every block of `n_paths` records.
 
+    `step` is `_store_rows` (the record samplers), `_reduce_rows`
+    (`sample_endpoints`) or `_project_rows` (`_phase_sums`).
     Block b holds the paths from start = b `_PATH_BLOCK` on, at most
     `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from its
     own generator `_rng(seed, stream, b)`: path p's real row 2p and its
@@ -212,6 +221,20 @@ def _reduce_rows(rows, start, ends, kappa, dt):
     """Write the (nu, z, mu) of the records of `rows` into ends[:, start:]."""
     ends[:, start:start + len(rows) // 2] = _row_sums(rows, np.sqrt(dt / 2),
                                                       kappa, dt)
+
+
+def _project_rows(rows, start, sums, loads):
+    """Write rows @ loads into sums[2 start:], `_PROJECT_ROWS` rows at a time.
+
+    One product of a whole block woke OpenBLAS's thread pool (0.3.31,
+    default threads), whose spinning helper thread then took the second
+    core from the samplers' worker thread; products over slices of
+    `_PROJECT_ROWS` rows stay on the calling thread.
+    """
+    out = sums[2 * start:2 * start + len(rows)]
+    for i in range(0, len(rows), _PROJECT_ROWS):
+        np.matmul(rows[i:i + _PROJECT_ROWS], loads,
+                  out=out[i:i + _PROJECT_ROWS])
 
 
 def _draw(kernel, N, dt, seed, n_paths, stream):
@@ -282,8 +305,25 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     in those samplers, on the same two threads (`_each_block`), and
     each is scaled and reduced (`_row_sums`) into its fixed slot of the
     result, so the endpoints do not depend on the schedule either.
+    Callers that need only nu and mu take `_phase_sums`, which draws
+    the same blocks and skips the centre sum.
     Memory is O(`_PATH_BLOCK` N) for the two row buffers plus the
     endpoints.
+    """
+    kernel = _measure_kernel(measure, N, dt, kappa, n_paths)
+    ends = np.empty((3, n_paths), dtype=complex)
+    _each_block(kernel, N, seed, stream, n_paths, _reduce_rows, ends, kappa,
+                dt)
+    nu, z, mu = ends
+    return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
+
+
+def _measure_kernel(measure, N, dt, kappa, n_paths):
+    """Check the arguments of an endpoint draw; the measure's kernel.
+
+    None for the plain measure, `moments.build_kernel` for the modified
+    one.  Raises ValueError for N < 1, n_paths < 1 or an unknown
+    measure, before anything is drawn.
     """
     from . import moments
 
@@ -292,16 +332,31 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     if n_paths < 1:
         raise ValueError("need at least one path")
     if measure == "plain":
-        kernel = None
-    elif measure == "modified":
-        kernel = moments.build_kernel(N, dt, kappa)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    ends = np.empty((3, n_paths), dtype=complex)
-    _each_block(kernel, N, seed, stream, n_paths, _reduce_rows, ends, kappa,
-                dt)
-    nu, z, mu = ends
-    return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
+        return None
+    if measure == "modified":
+        return moments.build_kernel(N, dt, kappa)
+    raise ValueError(f"unknown measure {measure!r}")
+
+
+def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
+    """The (nu, mu) of `sample_endpoints` with the same arguments, no z.
+
+    nu and mu are linear in the record, so each block of rows, drawn
+    and correlated as there, is projected onto the (N, 2) loads
+    sqrt(kappa dt/2) [rho^(N-1-k), rho^k] of `closed_form_hc`
+    (`_project_rows`), the sampler's scale sqrt(dt/2) folded in.  Row
+    2p gives the real parts of path p's (nu, mu), row 2p+1 the
+    imaginary parts.  The centre z, the only part that is quadratic in
+    the record, is never formed.
+    """
+    kernel = _measure_kernel(measure, N, dt, kappa, n_paths)
+    decay = np.exp(-2 * kappa * dt) ** np.arange(N)
+    loads = np.sqrt(kappa * dt / 2) * np.stack([decay[::-1], decay], axis=1)
+    sums = np.empty((2 * n_paths, 2))
+    _each_block(kernel, N, seed, stream, n_paths, _project_rows, sums, loads)
+    nu, mu = sums.reshape(n_paths, 2, 2).transpose(2, 0, 1).copy().view(
+        complex)[..., 0]
+    return nu, mu
 
 
 def propagate_sde(path, chart="hc"):

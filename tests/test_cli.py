@@ -85,6 +85,29 @@ def test_distributions_with_mc(tmp_path):
     assert np.all(np.diff(sigma_col) > 0)  # Sigma grows
 
 
+def test_distributions_fk_targets_and_variance_edge(tmp_path):
+    # At check 9's (50, 1e-2) the discrete target is 1/det W = 1.820268
+    # and the weight's variance is finite; at t-final 1.0 (N = 100) the
+    # variance is infinite from N = 77 on, and the run warns.
+    out = tmp_path / "finite.csv"
+    assert cli.main(["distributions", "--t-final", "0.5", "--dt", "1e-2",
+                     "--paths", "2000", "--seed", "3", "--out",
+                     str(out)]) == 0
+    meta, _ = _read_output(out)
+    assert abs(meta["fk_discrete_target"] - 1.820268) <= 1e-6
+    assert meta["fk_variance_finite"] is True
+    assert (abs(meta["fk_normalization"] - meta["fk_discrete_target"])
+            <= 5 * meta["fk_stderr"])
+    out = tmp_path / "infinite.csv"
+    with pytest.warns(UserWarning, match="infinite variance"):
+        assert cli.main(["distributions", "--t-final", "1.0", "--dt", "1e-2",
+                         "--paths", "500", "--seed", "3", "--out",
+                         str(out)]) == 0
+    meta, _ = _read_output(out)
+    assert meta["fk_variance_finite"] is False
+    assert meta["fk_discrete_target"] > meta["fk_closed_form"] > 1
+
+
 def test_povm_report(tmp_path):
     out = tmp_path / "povm.csv"
     code = cli.main(["povm", "--t-final", "1", "--dim", "12",

@@ -1,5 +1,7 @@
 """Tests for the reduced distributions and Feynman-Kac estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,7 +189,11 @@ def test_feynman_kac_weight_overflow_is_typed():
 
 
 class _Drawn(Exception):
-    """Raised by a stand-in sampler: the estimator got as far as drawing."""
+    """Raised by a stand-in block loop: the estimator got as far as drawing.
+
+    Every draw of records, weighted or not, goes through
+    `paths._each_block`, so patching it catches both routes.
+    """
 
 
 def _refuse_to_draw(*args, **kwargs):
@@ -199,7 +205,7 @@ def _refuse_to_draw(*args, **kwargs):
     (8000, 0.1),  # kappa T = 800, where e^{-2s} used to overflow
 ])
 def test_feynman_kac_tilt_regime_raises_before_drawing(monkeypatch, N, dt):
-    monkeypatch.setattr(paths, "sample_endpoints", _refuse_to_draw)
+    monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
     with pytest.raises(moments.RegimeError, match="tilt"):
         dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 10, N, dt,
                                    1.0, 0)
@@ -211,7 +217,7 @@ def test_feynman_kac_tilt_regime_raises_before_drawing(monkeypatch, N, dt):
     (500, 1e-3),  # the benchmark's normalization job
 ])
 def test_feynman_kac_tilt_regime_admits(monkeypatch, N, dt):
-    monkeypatch.setattr(paths, "sample_endpoints", _refuse_to_draw)
+    monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
     with pytest.raises(_Drawn):
         dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 10, N, dt,
                                    1.0, 0)
@@ -221,10 +227,58 @@ def test_feynman_kac_tilt_regime_admits(monkeypatch, N, dt):
     ("plain", "none"), ("plain", "exp_neg_2ell"), ("modified", "exp_neg_2s")])
 def test_feynman_kac_tilt_guard_is_plain_exp_neg_2s_only(monkeypatch,
                                                          measure, weight):
-    monkeypatch.setattr(paths, "sample_endpoints", _refuse_to_draw)
+    monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
     with pytest.raises(_Drawn):
         dists.feynman_kac_estimate(measure, weight, "one", 10, 26, 0.1, 1.0,
                                    0)
+
+
+@pytest.mark.parametrize("N, dt", [
+    (7, 0.1), (14, 0.05), (783, 1e-3),  # first N of infinite variance
+])
+def test_feynman_kac_warns_where_variance_is_infinite(monkeypatch, N, dt):
+    monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
+    with pytest.warns(UserWarning, match="infinite variance"):
+        with pytest.raises(_Drawn):
+            dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 10, N,
+                                       dt, 1.0, 0)
+
+
+@pytest.mark.parametrize("N, dt", [
+    (6, 0.1), (13, 0.05), (782, 1e-3),  # last N of finite variance
+    (50, 1e-2),  # verify check 9 and the reduced-distributions demo
+    (500, 1e-3),  # the benchmark's normalization job
+])
+def test_feynman_kac_finite_variance_does_not_warn(monkeypatch, N, dt):
+    monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(_Drawn):
+            dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 10, N,
+                                       dt, 1.0, 0)
+
+
+def test_feynman_kac_unweighted_skips_the_centre(monkeypatch):
+    # Weight "none" projects the records onto (nu, mu) and never runs
+    # the centre sum; the estimate is that of sample_endpoints' nu.
+    n_paths, chunk, N, dt = 700, 300, 60, 1e-3
+    want = [np.abs(paths.sample_endpoints("modified", N, dt, 1.0, 29,
+                                          min(chunk, n_paths - start),
+                                          stream=stream).nu) ** 2
+            for stream, start in enumerate(range(0, n_paths, chunk))]
+    want = np.concatenate(want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("centre sum formed")
+
+    monkeypatch.setattr(paths, "_row_sums", refuse)
+    est = dists.feynman_kac_estimate("modified", "none", "nu_abs2", n_paths,
+                                     N, dt, 1.0, 29, chunk=chunk)
+    assert abs(est.mean - want.mean()) <= 1e-14 * want.mean()
+    assert est.ess == n_paths
+    with pytest.raises(AssertionError, match="centre"):
+        dists.feynman_kac_estimate("modified", "exp_neg_2s", "nu_abs2", 10,
+                                   N, dt, 1.0, 29)
 
 
 def test_feynman_kac_rejects_empty():
@@ -261,7 +315,7 @@ def test_feynman_kac_validates_before_drawing(monkeypatch, measure, weight,
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before validating")
 
-    monkeypatch.setattr(paths, "sample_endpoints", refuse)
+    monkeypatch.setattr(paths, "_each_block", refuse)
     with pytest.raises(ValueError, match="unknown"):
         dists.feynman_kac_estimate(measure, weight, observable, n_paths=10,
                                    N=10, dt=1e-3, kappa=1.0, seed=0)

@@ -1,5 +1,6 @@
 """Tests for the modified-measure kernel, determinants, and moments."""
 
+import math
 import warnings
 
 import numpy as np
@@ -249,6 +250,23 @@ def test_tilted_pivots_regime_edge(kdt, edge):
         moments.tilted_pivots(edge, kdt, 1.0)
 
 
+@pytest.mark.parametrize("kdt, edge", [(0.1, 7), (0.05, 14), (1e-3, 783)])
+def test_square_tilt_regime_edge(kdt, edge):
+    # e^{-4s} tilts the plain measure by 2W - I = I - 2 kappa dt H; its
+    # edge is where e^{-2s} stops having a finite variance.
+    # Next to the edge det(2W - I) is small, and LAPACK's determinant
+    # carries a relative error of order eps ||2W - I|| / lambda_min.
+    form = "square tilt"
+    pivots = moments._tilt_pivots(edge - 1, kdt, 1.0, 2, form)
+    dense = 2 * _dense_tilt(edge - 1, kdt) - np.eye(edge - 1)
+    assert np.linalg.eigvalsh(dense).min() > 0
+    assert abs(np.prod(pivots) / np.linalg.det(dense) - 1) <= 1e-10
+    past = 2 * _dense_tilt(edge, kdt) - np.eye(edge)
+    assert np.linalg.eigvalsh(past).min() < 0
+    with pytest.raises(moments.RegimeError, match=f"{form}.*N = {edge}"):
+        moments._tilt_pivots(edge, kdt, 1.0, 2, form)
+
+
 @pytest.mark.parametrize("N, dt", [(200, 0.01), (1000, 1e-3)])
 def test_sample_modified_exact_covariance(monkeypatch, N, dt):
     # With the draws replaced by an orthonormal basis (real and
@@ -272,6 +290,40 @@ def test_riccati_closed_forms():
     _, n5, _, q5 = moments.riccati_integrate(1.0, 5.0, 5000)
     assert abs(n5[-1] - 5 / 6) <= 1e-8
     assert abs(q5[-1] - (1 / 6 - np.exp(-10))) <= 1e-8
+
+
+def _generic_rk4(kappa, T, steps):
+    """Classical RK4 of the moment system through a generic stage loop."""
+    h = T / steps
+    times = h * np.arange(steps + 1)
+
+    def rhs(t, n, m, q):
+        e = math.exp(-2 * kappa * t)
+        return (kappa * (1 - n) ** 2, kappa * (q + e) ** 2,
+                kappa * (-q * (1 - n) + e * (1 + n)))
+
+    out = np.zeros((steps + 1, 3))
+    y = (0.0, 0.0, 0.0)
+    for i, t in enumerate(times[:-1].tolist()):
+        k1 = rhs(t, *y)
+        k2 = rhs(t + h / 2, *(a + h / 2 * b for a, b in zip(y, k1)))
+        k3 = rhs(t + h / 2, *(a + h / 2 * b for a, b in zip(y, k2)))
+        k4 = rhs(t + h, *(a + h * b for a, b in zip(y, k3)))
+        y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        out[i + 1] = y
+    return times, out[:, 0], out[:, 1], out[:, 2]
+
+
+@pytest.mark.parametrize("kappa, T, steps", [
+    (1.0, 5.0, 5000), (1.0, 1.0, 1), (0.3, 2.0, 137), (2.5, 0.7, 400)])
+def test_riccati_matches_generic_rk4(kappa, T, steps):
+    # The written-out stages keep the generic loop's operation order.
+    got = moments.riccati_integrate(kappa, T, steps)
+    want = _generic_rk4(kappa, T, steps)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape == (steps + 1,)
+        assert np.array_equal(a, b)
 
 
 def test_riccati_monotone_and_bounded():

@@ -243,6 +243,33 @@ def test_sample_endpoints_matches_sampled_records(measure, n_paths, N):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("chunk", [None, 200])
+@pytest.mark.parametrize("N", [1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_phase_sums_match_sampled_records(measure, n_paths, N, chunk):
+    # The projection onto (nu, mu), chunk by chunk on streams 0, 1, ...
+    # as `dists.feynman_kac_estimate` calls it, against the closed form
+    # of the records the public sampler draws for the same chunk.
+    chunk = chunk or n_paths
+    for stream, start in enumerate(range(0, n_paths, chunk)):
+        size = min(chunk, n_paths - start)
+        nu, mu = paths._phase_sums(measure, N, 1e-3, 1.0, 7, size,
+                                   stream=stream)
+        want = paths.closed_form_hc(SAMPLERS[measure](
+            N, 1e-3, 1.0, 7, n_paths=size, stream=stream))
+        for a, b in ((nu, want.nu), (mu, want.mu)):
+            assert a.shape == b.shape == (size,)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_phase_sums_reject_bad_arguments():
+    for args in (("uniform", 10, 5), ("plain", 0, 5), ("plain", 10, 0)):
+        measure, N, n_paths = args
+        with pytest.raises(ValueError):
+            paths._phase_sums(measure, N, 1e-3, 1.0, 0, n_paths)
+
+
 class _RecordingPool(futures.ThreadPoolExecutor):
     """A one-thread pool that keeps every job it was handed."""
 
@@ -267,9 +294,12 @@ _FAILING_RUNS = {
 
 
 def _arrays(out):
-    """The arrays of a sampler's result: increments or (nu, mu, z)."""
+    """The arrays of a sampler's result: increments, (nu, mu, z) or
+    the (nu, mu) of `paths._phase_sums`."""
     if isinstance(out, paths.WienerPath):
         return [out.increments]
+    if isinstance(out, tuple):
+        return list(out)
     return [out.nu, out.mu, out.z]
 
 
@@ -399,6 +429,12 @@ def test_sample_endpoints_do_not_depend_on_schedule(monkeypatch, measure):
 
 
 @pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_phase_sums_do_not_depend_on_schedule(monkeypatch, measure):
+    _check_schedules(monkeypatch, "_project_rows", lambda: (
+        paths._phase_sums(measure, 40, 1e-3, 1.0, 5, 1300, stream=1)))
+
+
+@pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_sampled_records_do_not_depend_on_schedule(monkeypatch, measure):
     _check_schedules(monkeypatch, "_store_rows", lambda: SAMPLERS[measure](
         40, 1e-3, 1.0, 5, n_paths=1300, stream=1))
@@ -482,6 +518,8 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
             for m in SAMPLERS]
     runs += [lambda f=f: f(50, 1e-3, 1.0, 4, n_paths=600)
              for f in SAMPLERS.values()]
+    runs += [lambda m=m: paths._phase_sums(m, 50, 1e-3, 1.0, 4, 600)
+             for m in SAMPLERS]
     want = [run() for run in runs]
     caller = threading.current_thread()
 
