@@ -354,9 +354,8 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
     loads = np.sqrt(kappa * dt / 2) * np.stack([decay[::-1], decay], axis=1)
     sums = np.empty((2 * n_paths, 2))
     _each_block(kernel, N, seed, stream, n_paths, _project_rows, sums, loads)
-    nu, mu = sums.reshape(n_paths, 2, 2).transpose(2, 0, 1).copy().view(
-        complex)[..., 0]
-    return nu, mu
+    return (sums[0::2, 0] + 1j * sums[1::2, 0],
+            sums[0::2, 1] + 1j * sums[1::2, 1])
 
 
 def propagate_sde(path, chart="hc"):
