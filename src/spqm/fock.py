@@ -149,6 +149,26 @@ def _ladder_tables(dim):
     return k, coeff
 
 
+def _ladders(dim, shape, *values):
+    """Unchecked exp(c a_dag) of each c in `values`, broadcast to `shape`.
+
+    Shape `shape` + (len(values), dim, dim): the powers of every c come
+    from one `cumprod`, spread over the matrix by one `take` of the
+    power index, and the coefficients are multiplied in place.  A
+    non-finite c or an overflow leaves non-finite entries (for
+    dim >= 2); the caller checks.  Calls no public function.
+    """
+    k, coeff = _ladder_tables(dim)
+    powers = np.ones(shape + (len(values), dim), dtype=complex)
+    for i, c in enumerate(values):
+        powers[..., i, 1:] = np.asarray(c)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(powers, axis=-1, out=powers)
+        out = powers.take(k, axis=-1)
+        out *= coeff
+    return out
+
+
 def ladder_exponential(dim, c):
     """exp(c a_dag), batched over `c`: shape c.shape + (dim, dim).
 
@@ -159,11 +179,7 @@ def ladder_exponential(dim, c):
     c = np.asarray(c)
     if not np.all(np.isfinite(c)):
         raise NumericalDomainError("ladder exponential of non-finite input")
-    k, coeff = _ladder_tables(dim)
-    powers = np.ones(c.shape + (dim,), dtype=complex)
-    powers[..., 1:] = c[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = coeff * np.cumprod(powers, axis=-1)[..., k]
+    out = _ladders(dim, c.shape, c)[..., 0, :, :]
     if not np.all(np.isfinite(out)):
         raise NumericalDomainError("ladder exponential overflowed")
     return out

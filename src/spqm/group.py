@@ -93,6 +93,13 @@ class CartanCoords:
     def __post_init__(self):
         _require_regular(self.r)
 
+    @classmethod
+    def _regular(cls, **fields):
+        """Coordinates whose r the caller has already checked, unchecked."""
+        y = object.__new__(cls)
+        y.__dict__.update(fields)
+        return y
+
 
 class GaugePair(NamedTuple):
     f: float
@@ -110,17 +117,22 @@ def gauge_functions(coords):
     r = coords.r
     _require_regular(r)
     if isinstance(coords, HCCoords):
-        u = coords.nu + coords.mu
-        v = coords.nu - coords.mu
-        f = (np.abs(u) ** 2 / (-4 * np.expm1(-r))
-             + np.abs(v) ** 2 / (4 * (1 + np.exp(-r))))
-        xi = (np.imag(np.conj(coords.nu) * coords.mu) * np.exp(-r)
-              / -np.expm1(-2 * r))
-        return GaugePair(f, xi)
+        return _hc_gauge(coords)
     beta, alpha = coords.beta, coords.alpha
     f = (0.5 * (np.abs(beta) ** 2 + np.abs(alpha) ** 2)
          - np.exp(-r) * np.real(np.conj(beta) * alpha))
     xi = np.exp(-r) * np.imag(np.conj(beta) * alpha)
+    return GaugePair(f, xi)
+
+
+def _hc_gauge(x):
+    """`gauge_functions` of HC coordinates whose r is already checked."""
+    r = x.r
+    u = x.nu + x.mu
+    v = x.nu - x.mu
+    f = (np.abs(u) ** 2 / (-4 * np.expm1(-r))
+         + np.abs(v) ** 2 / (4 * (1 + np.exp(-r))))
+    xi = np.imag(np.conj(x.nu) * x.mu) * np.exp(-r) / -np.expm1(-2 * r)
     return GaugePair(f, xi)
 
 
@@ -134,12 +146,15 @@ def coset_pair(r, nu, mu):
 
 
 def hc_to_cartan(x):
-    """Transform Harish-Chandra to Cartan coordinates (requires r > 0)."""
+    """Transform Harish-Chandra to Cartan coordinates (requires r > 0).
+
+    The chart is checked once, before any division.
+    """
     _require_regular(x.r)
     beta, alpha = coset_pair(x.r, x.nu, x.mu)
-    f, xi = gauge_functions(x)
-    return CartanCoords(beta=beta, phi=x.psi - xi, r=x.r,
-                        ell=x.s - f, alpha=alpha)
+    f, xi = _hc_gauge(x)
+    return CartanCoords._regular(beta=beta, phi=x.psi - xi, r=x.r,
+                                 ell=x.s - f, alpha=alpha)
 
 
 def cartan_to_hc(y):
@@ -158,20 +173,44 @@ def represent(x, dim):
     triangular from the finite ladder series (Cartan input goes through
     `cartan_to_hc`): exact under truncation and batched over array
     coordinates.  Raises `fock.NumericalDomainError` where a coordinate
-    is not finite or the diagonal factor overflows.
+    is not finite or a factor or the product overflows.  The work is
+    `_represent`; where it refuses, the ladders are rebuilt by
+    `fock.ladder_exponential`, so that a non-finite or overflowing nu or
+    mu is reported by the ladder's own error.
     """
     if isinstance(x, CartanCoords):
         x = cartan_to_hc(x)
+    try:
+        return _represent(x.nu, x.r, x.z, x.mu, dim)
+    except fock.NumericalDomainError:
+        fock.ladder_exponential(dim, x.nu)
+        fock.ladder_exponential(dim, x.mu)
+        raise
+
+
+def _represent(nu, r, z, mu, dim):
+    """`represent` of the HC coordinates (nu, r, z, mu), broadcast together.
+
+    Both ladders, exp(a_dag nu) and the transpose of exp(a_dag conj(mu)),
+    come from one stacked `fock._ladders`, and the diagonal factor
+    exp(-Ho r + z) is multiplied into the left one in place.  One check
+    covers the exponent (so r and z) and the product, which every
+    non-finite ladder entry or overflow reaches (for dim >= 2).  Calls
+    no public function, so that `paths.kraus_time_ordered` can run it
+    on its worker thread.
+    """
+    shape = np.broadcast(nu, r, z, mu).shape
+    ladders = fock._ladders(dim, shape, nu, np.conj(mu))
+    left, right = ladders[..., 0, :, :], ladders[..., 1, :, :]
     levels = np.arange(dim) + 0.5
-    left = fock.ladder_exponential(dim, x.nu)
-    right = np.swapaxes(fock.ladder_exponential(dim, x.mu).conj(), -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        middle = np.exp(-levels * np.expand_dims(x.r, -1)
-                        + np.expand_dims(x.z, -1))
-    if not np.all(np.isfinite(middle)):
+        exponent = -levels * np.expand_dims(r, -1) + np.expand_dims(z, -1)
+        left *= np.exp(exponent)[..., None, :]
+        out = left @ np.swapaxes(right, -1, -2)
+    if not (np.isfinite(exponent).all() and np.isfinite(out).all()):
         raise fock.NumericalDomainError(
-            "represent: r or z is not finite, or exp(-Ho r + z) overflows")
-    return (left * middle[..., None, :]) @ right
+            "represent: a coordinate is not finite, or a factor overflows")
+    return out
 
 
 def increment_left_multiply(x, dw, kappa, dt):

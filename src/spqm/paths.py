@@ -13,7 +13,8 @@ them; complex increments are formed only for the caller.  One block
 loop serves three uses: the record samplers store the blocks, the
 endpoint sampler reduces them to (nu, z, mu), and the unweighted
 Feynman-Kac estimate of `dists` projects them onto the linear sums
-(nu, mu) alone, skipping the quadratic centre z.
+(nu, mu) alone, skipping the quadratic centre z.  The same two threads
+(`_run_blocks`) share the blocks of steps of the Kraus product.
 
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
@@ -44,8 +45,9 @@ __all__ = [
 #: Steps per block in the blocked evaluation of `closed_form_hc`.
 _BLOCK = 32
 
-#: Steps per block of Kraus factors that `kraus_time_ordered` builds at
-#: once; all factors of a long record at once would double peak memory.
+#: Steps per block of Kraus factors that `kraus_time_ordered` builds and
+#: reduces to one product at once, on either thread of `_run_blocks`;
+#: all factors of a long record at once would double peak memory.
 _KRAUS_BLOCK = 64
 
 #: Taylor coefficients 1/(k+2)! of `_kraus_centre` in powers of -eps.
@@ -58,8 +60,8 @@ _PATH_BLOCK = 256
 #: Rows per product in `_project_rows`.
 _PROJECT_ROWS = 64
 
-#: The one worker thread of `_each_block`, shared by every sampler and
-#: made on first use.
+#: The one worker thread of `_run_blocks`, shared by every sampler and
+#: the Kraus product, and made on first use.
 _worker = None
 
 
@@ -137,7 +139,7 @@ class _Claims:
     """Block indices 0..count-1, each handed out once, in order.
 
     `claim` returns the next index, or None once all are out or after
-    `stop`.  Shared by the two threads of `_each_block`.
+    `stop`.  Shared by the two threads of `_run_blocks`.
     """
 
     def __init__(self, count):
@@ -156,6 +158,42 @@ class _Claims:
             self._next = self._count
 
 
+def _run_blocks(count, task):
+    """Call task(b, thread) once for every block index b < `count`.
+
+    The calling thread (thread 0) and the worker thread `_worker`
+    (thread 1) claim block indices from one shared counter, so the two
+    run on two cores wherever `task` releases the GIL.  `task` must
+    write block b to a slot of its own, so that the result does not
+    depend on which thread took which block, and must call no public
+    function, so that a tracer of the public functions sees the whole
+    cost inside the caller's span.  A single block runs on the calling
+    thread alone, as handing it to the worker would cost more than the
+    block.  A failure on either thread stops the other from claiming
+    more blocks and is raised here, with no job left running.
+    """
+    global _worker
+    if _worker is None:
+        _worker = futures.ThreadPoolExecutor(1)
+    claims = _Claims(count)
+
+    def work(thread):
+        try:
+            while (b := claims.claim()) is not None:
+                task(b, thread)
+        except BaseException:
+            claims.stop()
+            raise
+
+    jobs = [_worker.submit(work, 1)] if count > 1 else []
+    try:
+        work(0)
+    finally:
+        futures.wait(jobs)
+    for job in jobs:
+        job.result()
+
+
 def _each_block(kernel, N, seed, stream, n_paths, step, *args):
     """Call step(rows, start, *args) on every block of `n_paths` records.
 
@@ -166,48 +204,25 @@ def _each_block(kernel, N, seed, stream, n_paths, step, *args):
     own generator `_rng(seed, stream, b)`: path p's real row 2p and its
     imaginary row 2p+1.  With `kernel` given the rows are correlated in
     place by `kernel.correlate` (modified measure) before `step` sees
-    them.  The calling thread and the worker thread `_worker` claim
-    block indices from one shared counter, and each draws the blocks it
-    claims into its own row buffer.  Generator fills and GEMMs release
-    the GIL, so the two run on two cores; each block has its own
-    generator and `step` writes it to its own slot, so the result does
-    not depend on which thread took which block.  Both row buffers are
-    made here, in the calling thread, because a buffer freed by the
-    worker would stay in that thread's heap arena and raise the peak
-    memory.  A single block is drawn on the calling thread alone, as
-    handing it to the worker would cost more than the block.  `step`
-    calls no public function, so that a tracer of the public functions
-    sees the whole cost inside the caller's span.  A failure on either
-    thread stops the other from claiming more blocks and is raised
-    here, with no job left running.
+    them.  The blocks are shared by the two threads of `_run_blocks`,
+    and each thread draws the blocks it claims into its own row
+    buffer; each block has its own generator and `step` writes it to
+    its own slot.  Both row buffers are made here, in the calling
+    thread, because a buffer freed by the worker would stay in that
+    thread's heap arena and raise the peak memory.
     """
-    global _worker
-    if _worker is None:
-        _worker = futures.ThreadPoolExecutor(1)
     count = -(-n_paths // _PATH_BLOCK)
-    claims = _Claims(count)
     buffers = np.empty((min(count, 2), 2 * min(n_paths, _PATH_BLOCK), N))
 
-    def work(buffer):
-        try:
-            while (b := claims.claim()) is not None:
-                start = b * _PATH_BLOCK
-                rows = buffer[:2 * min(_PATH_BLOCK, n_paths - start)]
-                _rng(seed, stream, b).standard_normal(out=rows)
-                if kernel is not None:
-                    kernel.correlate(rows)
-                step(rows, start, *args)
-        except BaseException:
-            claims.stop()
-            raise
+    def draw(b, thread):
+        start = b * _PATH_BLOCK
+        rows = buffers[thread][:2 * min(_PATH_BLOCK, n_paths - start)]
+        _rng(seed, stream, b).standard_normal(out=rows)
+        if kernel is not None:
+            kernel.correlate(rows)
+        step(rows, start, *args)
 
-    jobs = [_worker.submit(work, buffers[1])] if count > 1 else []
-    try:
-        work(buffers[0])
-    finally:
-        futures.wait(jobs)
-    for job in jobs:
-        job.result()
+    _run_blocks(count, draw)
 
 
 def _store_rows(rows, start, dw, scale):
@@ -577,9 +592,14 @@ def kraus_time_ordered(path, dim):
         nu = mu = g c,  r = eps,  z = |c|^2 (eps - 1 + e^-eps)/eps^2,
 
     with g = (1 - e^-eps)/eps, so each factor is `group.represent` of
-    them: exact under truncation, no matrix exponential.  The factors
-    are built `_KRAUS_BLOCK` steps at a time.  As dt -> 0 at fixed
-    record the product converges at first order in dt to
+    them: exact under truncation, no matrix exponential.  Each block of
+    `_KRAUS_BLOCK` steps is built (`group._represent`) and reduced to
+    its ordered product (`_ordered_product`) into a slot of its own;
+    the blocks are shared by the calling thread and the worker
+    (`_run_blocks`), so the product does not depend on the schedule,
+    and a record of at most one block uses no worker.  The slots are
+    then reduced the same way on the calling thread.  As dt -> 0 at
+    fixed record the product converges at first order in dt to
     represent(closed_form_hc(path)).  Raises `fock.NumericalDomainError`
     where a factor or the product is not finite.
 
@@ -590,21 +610,42 @@ def kraus_time_ordered(path, dim):
     if dw.ndim != 1:
         raise ValueError("kraus_time_ordered takes one path at a time")
     eps = 2 * path.kappa * path.dt
-    gain = -math.expm1(-eps) / eps
-    centre = _kraus_centre(eps)
-    product = np.eye(dim, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.sqrt(path.kappa) * dw
-        for start in range(0, c.shape[0], _KRAUS_BLOCK):
-            block = c[start:start + _KRAUS_BLOCK]
-            factors = group.represent(group.HCCoords(
-                nu=gain * block, r=eps, z=np.abs(block) ** 2 * centre,
-                mu=gain * block), dim)
-            for factor in factors:
-                product = factor @ product
+        nu = -math.expm1(-eps) / eps * c
+        z = np.abs(c) ** 2 * _kraus_centre(eps)
+    slots = np.empty((-(-len(c) // _KRAUS_BLOCK), dim, dim), dtype=complex)
+
+    def reduce(b, thread):
+        steps = slice(b * _KRAUS_BLOCK, (b + 1) * _KRAUS_BLOCK)
+        slots[b] = _ordered_product(group._represent(
+            nu[steps], eps, z[steps], nu[steps], dim))
+
+    _run_blocks(len(slots), reduce)
+    product = _ordered_product(slots)
     if not np.all(np.isfinite(product)):
         raise fock.NumericalDomainError("Kraus product overflowed")
     return product
+
+
+def _ordered_product(factors):
+    """factors[-1] @ ... @ factors[0], the latest factor leftmost.
+
+    A pairwise tree: each level forms every f[2i+1] @ f[2i] in one
+    batched product and carries an unpaired latest factor up, so n
+    factors take about log2(n) calls in place of n.  The identity for
+    no factors.  Overflow gives non-finite entries; the caller checks.
+    Calls no public function.
+    """
+    if not len(factors):
+        return np.eye(factors.shape[-1], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(factors) > 1:
+            even = len(factors) // 2 * 2
+            paired = factors[1:even:2] @ factors[0:even:2]
+            factors = (np.concatenate((paired, factors[even:]))
+                       if even < len(factors) else paired)
+    return factors[0]
 
 
 def refine_path(path, factor, seed):

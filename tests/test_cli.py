@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_distributions_fk_targets_and_variance_edge(tmp_path):
     meta, _ = _read_output(out)
     assert meta["fk_variance_finite"] is False
     assert meta["fk_discrete_target"] > meta["fk_closed_form"] > 1
+
+
+def test_distributions_defaults_inside_variance_edge(tmp_path):
+    # The default times (t-final 0.5, dt 1e-2, so N = 50) keep the
+    # e^{-2s} weight's variance finite: no warning.
+    out = tmp_path / "defaults.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["distributions", "--paths", "2000", "--seed", "3",
+                         "--out", str(out)]) == 0
+    meta, _ = _read_output(out)
+    assert meta["t_final"] == 0.5 and meta["dt"] == 1e-2
+    assert meta["fk_variance_finite"] is True
 
 
 def test_povm_report(tmp_path):

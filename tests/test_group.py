@@ -1,5 +1,7 @@
 """Tests for the group coordinates, transforms, and representation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,30 @@ def test_singular_chart_errors():
         group.CartanCoords(beta=0.0, phi=0.0, r=0.0, ell=0.0, alpha=0.0)
 
 
+@pytest.mark.parametrize("r", [0.0, np.array([0.5, 0.0, 1.0])])
+def test_hc_to_cartan_checks_the_chart_once(monkeypatch, r):
+    # One chart check per transform, made before any division: r = 0
+    # raises with no divide warning, and a regular point is checked
+    # once, not again by the gauge functions or the Cartan constructor.
+    x = group.HCCoords(nu=0.1 + 0.2j, r=r, z=0.3j, mu=-0.1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(group.ChartSingularityError):
+            group.hc_to_cartan(x)
+    check, calls = group._require_regular, []
+
+    def counting(r):
+        calls.append(r)
+        return check(r)
+
+    monkeypatch.setattr(group, "_require_regular", counting)
+    y = group.hc_to_cartan(group.HCCoords(nu=0.1 + 0.2j, r=0.7, z=0.3j,
+                                          mu=-0.1j))
+    assert len(calls) == 1
+    assert y == group.CartanCoords(beta=y.beta, phi=y.phi, r=y.r, ell=y.ell,
+                                   alpha=y.alpha)
+
+
 def test_represent_identity_and_diagonal():
     dim = 10
     ident = group.represent(group.HCCoords.identity(), dim)
@@ -159,11 +185,29 @@ def test_represent_hc_batched_equals_scalar_calls():
 
 
 @pytest.mark.parametrize("r, z", [(np.nan, 0j), (0.5, np.inf + 0j),
-                                  (-800.0, 0j)])
+                                  (-800.0, 0j), (np.inf, 0j),
+                                  (0.5, -np.inf + 0j)])
 def test_represent_hc_rejects_non_finite(r, z):
     x = group.HCCoords(nu=0j, r=r, z=z, mu=0j)
     with pytest.raises(fock.NumericalDomainError):
         group.represent(x, 3)
+
+
+@pytest.mark.parametrize("nu, mu", [(np.nan, 0j), (0j, np.inf + 0j),
+                                    (1e200 + 0j, 0j)])
+def test_represent_names_the_failing_ladder(nu, mu):
+    # A non-finite or overflowing nu or mu is reported by the ladder.
+    x = group.HCCoords(nu=np.array([0.1, nu]), r=0.5, z=0j, mu=mu)
+    with pytest.raises(fock.NumericalDomainError, match="ladder"):
+        group.represent(x, 6)
+
+
+def test_represent_rejects_overflowing_product():
+    # Each ladder is finite here; their product is not.
+    x = group.HCCoords(nu=1e7 + 0j, r=0.0, z=0j, mu=1e7 + 0j)
+    assert np.all(np.isfinite(fock.ladder_exponential(40, x.nu)))
+    with pytest.raises(fock.NumericalDomainError, match="represent"):
+        group.represent(x, 40)
 
 
 def test_represent_cartan_batched_equals_scalar_calls():

@@ -4,6 +4,7 @@ import decimal
 import inspect
 import sys
 import threading
+import warnings
 from concurrent import futures
 
 import numpy as np
@@ -295,7 +296,9 @@ _FAILING_RUNS = {
 
 def _arrays(out):
     """The arrays of a sampler's result: increments, (nu, mu, z) or
-    the (nu, mu) of `paths._phase_sums`."""
+    the (nu, mu) of `paths._phase_sums`, or a Kraus product."""
+    if isinstance(out, np.ndarray):
+        return [out]
     if isinstance(out, paths.WienerPath):
         return [out.increments]
     if isinstance(out, tuple):
@@ -520,6 +523,8 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
              for f in SAMPLERS.values()]
     runs += [lambda m=m: paths._phase_sums(m, 50, 1e-3, 1.0, 4, 600)
              for m in SAMPLERS]
+    record = paths.sample_wiener(500, 1e-3, 1.0, 4)
+    runs.append(lambda: paths.kraus_time_ordered(record, 12))
     want = [run() for run in runs]
     caller = threading.current_thread()
 
@@ -611,12 +616,79 @@ def test_kraus_factor_matches_dense_generator(dt, dw):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_kraus_huge_increment_raises():
+def _kraus_loop_oracle(path, dim):
+    """Reference: the same factors, multiplied in one at a time."""
+    eps = 2 * path.kappa * path.dt
+    c = np.sqrt(path.kappa) * path.increments
+    nu = -np.expm1(-eps) / eps * c
+    factors = group.represent(group.HCCoords(
+        nu=nu, r=eps, z=np.abs(c) ** 2 * paths._kraus_centre(eps), mu=nu),
+        dim)
+    product = np.eye(dim, dtype=complex)
+    for factor in factors:
+        product = factor @ product
+    return product
+
+
+@pytest.mark.parametrize("N", [1, 63, 64, 65, 500, 2000])
+def test_kraus_tree_matches_loop(N):
+    # The pairwise tree inside and across 64-step blocks reorders the
+    # products only.
+    path = paths.sample_wiener(N, 1e-3, 1.0, seed=60 + N)
+    got = paths.kraus_time_ordered(path, 20)
+    want = _kraus_loop_oracle(path, 20)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_kraus_empty_record_is_identity():
+    path = paths.WienerPath(dt=1e-3, kappa=1.0, increments=np.zeros(0, complex))
+    assert np.array_equal(paths.kraus_time_ordered(path, 6), np.eye(6))
+
+
+def test_kraus_does_not_depend_on_schedule(monkeypatch):
+    # Bitwise the same product whether the two threads interleave, the
+    # calling thread takes every block, or the worker does.
+    path = paths.sample_wiener(700, 1e-3, 1.0, seed=45)
+    want = paths.kraus_time_ordered(path, 16)
+    blocking = _BlockingPool()
+    for pool in (_IdlePool(), blocking):
+        monkeypatch.setattr(paths, "_worker", pool)
+        assert np.array_equal(paths.kraus_time_ordered(path, 16), want)
+    blocking.shutdown()
+
+
+@pytest.mark.parametrize("N", [1, 64])
+def test_kraus_single_block_uses_no_worker(monkeypatch, N):
+    path = paths.sample_wiener(N, 1e-3, 1.0, seed=46)
+    want = paths.kraus_time_ordered(path, 12)
+    monkeypatch.setattr(paths, "_worker", _RefusingPool())
+    assert np.array_equal(paths.kraus_time_ordered(path, 12), want)
+
+
+def test_kraus_huge_increment_raises(monkeypatch):
     dw = np.zeros(100, complex)
     dw[70] = 1e200
     path = paths.WienerPath(dt=1e-3, kappa=1.0, increments=dw)
     with pytest.raises(fock.NumericalDomainError):
         paths.kraus_time_ordered(path, 12)
+    # The worker takes both blocks: the overflow in block 1 is raised on
+    # the calling thread, with no warning on either thread.
+    represent, threads = group._represent, []
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return represent(*args)
+
+    pool = _BlockingPool()
+    monkeypatch.setattr(paths, "_worker", pool)
+    monkeypatch.setattr(group, "_represent", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fock.NumericalDomainError):
+            paths.kraus_time_ordered(path, 12)
+    assert len(threads) == 2
+    assert threading.current_thread() not in threads
+    pool.shutdown()
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 2.5e-4, 2e-3, 0.1, 1.0])
