@@ -173,11 +173,14 @@ def represent(x, dim):
     triangular from the finite ladder series (Cartan input goes through
     `cartan_to_hc`): exact under truncation and batched over array
     coordinates.  Raises `fock.NumericalDomainError` where a coordinate
-    is not finite or a factor or the product overflows.  The work is
-    `_represent`; where it refuses, the ladders are rebuilt by
-    `fock.ladder_exponential`, so that a non-finite or overflowing nu or
-    mu is reported by the ladder's own error.
+    is not finite or a factor or the product overflows, and ValueError
+    for dim < 2.  The work is `_represent`; where it refuses, the
+    ladders are rebuilt by `fock.ladder_exponential`, so that a
+    non-finite or overflowing nu or mu is reported by the ladder's own
+    error.
     """
+    if dim < 2:
+        raise ValueError(f"truncation dimension must be at least 2, got {dim}")
     if isinstance(x, CartanCoords):
         x = cartan_to_hc(x)
     try:
@@ -195,7 +198,7 @@ def _represent(nu, r, z, mu, dim):
     come from one stacked `fock._ladders`, and the diagonal factor
     exp(-Ho r + z) is multiplied into the left one in place.  One check
     covers the exponent (so r and z) and the product, which every
-    non-finite ladder entry or overflow reaches (for dim >= 2).  Calls
+    non-finite ladder entry or overflow reaches when dim >= 2.  Calls
     no public function, so that `paths.kraus_time_ordered` can run it
     on its worker thread.
     """
@@ -209,7 +212,7 @@ def _represent(nu, r, z, mu, dim):
         out = left @ np.swapaxes(right, -1, -2)
     if not (np.isfinite(exponent).all() and np.isfinite(out).all()):
         raise fock.NumericalDomainError(
-            "represent: a coordinate is not finite, or a factor overflows")
+            "represent: a coordinate is not finite, or it overflows")
     return out
 
 

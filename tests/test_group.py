@@ -202,6 +202,13 @@ def test_represent_names_the_failing_ladder(nu, mu):
         group.represent(x, 6)
 
 
+def test_represent_rejects_dim_one():
+    # At dim 1 the ladders hold no power of nu or mu to check.
+    x = group.HCCoords(nu=np.nan, r=0.5, z=0j, mu=0j)
+    with pytest.raises(ValueError, match="at least 2"):
+        group.represent(x, 1)
+
+
 def test_represent_rejects_overflowing_product():
     # Each ladder is finite here; their product is not.
     x = group.HCCoords(nu=1e7 + 0j, r=0.0, z=0j, mu=1e7 + 0j)

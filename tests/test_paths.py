@@ -641,7 +641,8 @@ def test_kraus_tree_matches_loop(N):
 
 
 def test_kraus_empty_record_is_identity():
-    path = paths.WienerPath(dt=1e-3, kappa=1.0, increments=np.zeros(0, complex))
+    path = paths.WienerPath(dt=1e-3, kappa=1.0,
+                            increments=np.zeros(0, complex))
     assert np.array_equal(paths.kraus_time_ordered(path, 6), np.eye(6))
 
 
