@@ -173,14 +173,11 @@ def represent(x, dim):
     triangular from the finite ladder series (Cartan input goes through
     `cartan_to_hc`): exact under truncation and batched over array
     coordinates.  Raises `fock.NumericalDomainError` where a coordinate
-    is not finite or a factor or the product overflows, and ValueError
-    for dim < 2.  The work is `_represent`; where it refuses, the
-    ladders are rebuilt by `fock.ladder_exponential`, so that a
-    non-finite or overflowing nu or mu is reported by the ladder's own
-    error.
+    is not finite or a factor or the product overflows.  The work is
+    `_represent`; where it refuses, the ladders are rebuilt by
+    `fock.ladder_exponential`, so that a non-finite or overflowing nu or
+    mu is reported by the ladder's own error.
     """
-    if dim < 2:
-        raise ValueError(f"truncation dimension must be at least 2, got {dim}")
     if isinstance(x, CartanCoords):
         x = cartan_to_hc(x)
     try:
@@ -197,10 +194,10 @@ def _represent(nu, r, z, mu, dim):
     Both ladders, exp(a_dag nu) and the transpose of exp(a_dag conj(mu)),
     come from one stacked `fock._ladders`, and the diagonal factor
     exp(-Ho r + z) is multiplied into the left one in place.  One check
-    covers the exponent (so r and z) and the product, which every
-    non-finite ladder entry or overflow reaches when dim >= 2.  Calls
-    no public function, so that `paths.kraus_time_ordered` can run it
-    on its worker thread.
+    covers nu, mu, the exponent (so r and z) and the product, which
+    every overflow reaches; nu and mu are checked themselves because at
+    dim 1 the ladders hold no power of them.  Calls no public function,
+    so that `paths.kraus_time_ordered` can run it on its worker thread.
     """
     shape = np.broadcast(nu, r, z, mu).shape
     ladders = fock._ladders(dim, shape, nu, np.conj(mu))
@@ -210,7 +207,8 @@ def _represent(nu, r, z, mu, dim):
         exponent = -levels * np.expand_dims(r, -1) + np.expand_dims(z, -1)
         left *= np.exp(exponent)[..., None, :]
         out = left @ np.swapaxes(right, -1, -2)
-    if not (np.isfinite(exponent).all() and np.isfinite(out).all()):
+    if not (np.isfinite(nu).all() and np.isfinite(mu).all()
+            and np.isfinite(exponent).all() and np.isfinite(out).all()):
         raise fock.NumericalDomainError(
             "represent: a coordinate is not finite, or it overflows")
     return out

@@ -143,6 +143,15 @@ def test_povm_library_error_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_povm_smallest_dims(tmp_path, dim):
+    out = tmp_path / "povm.csv"
+    assert cli.main(["povm", "--dim", dim, "--out", str(out)]) == 0
+    _, rows = _read_output(out)
+    values = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert float(values["completeness_deviation"]) <= 1e-12
+
+
 def test_povm_channel_at_default_dim(tmp_path):
     out = tmp_path / "povm.json"
     code = cli.main(["povm", "--dim", "24", "--paths", "200",

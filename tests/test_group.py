@@ -202,11 +202,19 @@ def test_represent_names_the_failing_ladder(nu, mu):
         group.represent(x, 6)
 
 
-def test_represent_rejects_dim_one():
-    # At dim 1 the ladders hold no power of nu or mu to check.
-    x = group.HCCoords(nu=np.nan, r=0.5, z=0j, mu=0j)
-    with pytest.raises(ValueError, match="at least 2"):
+@pytest.mark.parametrize("nu, mu", [(np.nan, 0j), (0j, np.inf + 0j)])
+def test_represent_dim_one_rejects_non_finite_ladder(nu, mu):
+    # At dim 1 the ladders hold no power of nu or mu, so the check
+    # reads the coordinates themselves.
+    x = group.HCCoords(nu=nu, r=0.5, z=0j, mu=mu)
+    with pytest.raises(fock.NumericalDomainError, match="ladder"):
         group.represent(x, 1)
+
+
+def test_represent_dim_one_is_the_diagonal_factor():
+    x = group.HCCoords(nu=0.3 + 0.1j, r=0.5, z=0.2 - 0.4j, mu=-0.2j)
+    assert np.allclose(group.represent(x, 1), np.exp(-0.25 + 0.2 - 0.4j),
+                       rtol=1e-15, atol=0)
 
 
 def test_represent_rejects_overflowing_product():

@@ -52,6 +52,13 @@ def test_completeness_rejects_empty_block(dim):
         povm.completeness_quadrature(1.0, dim)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_completeness_smallest_blocks(dim):
+    # The reported block of dim // 2 = 1 level is represented at dim 1.
+    dev = povm.completeness_quadrature(1.0, dim)
+    assert np.isfinite(dev) and dev <= 1e-12
+
+
 def test_completeness_identity():
     dev = povm.completeness_quadrature(1.0, 16)
     assert dev <= 1e-3
