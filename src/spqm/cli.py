@@ -121,7 +121,7 @@ def _cmd_distributions(args):
             "plain", "exp_neg_2s", "one", n_paths=args.paths, N=n,
             dt=args.dt, kappa=args.kappa, seed=args.seed)
         extra = {"fk_normalization": est.mean, "fk_stderr": est.stderr,
-                 "fk_ess": est.ess,
+                 "fk_ess": est.ess, "fk_kish_ess": est.kish_ess,
                  "fk_closed_form": dists.normalization_factor(
                      args.kappa * args.t_final),
                  "fk_discrete_target": 1 / np.prod(moments.tilted_pivots(

@@ -101,13 +101,17 @@ class FKEstimate(NamedTuple):
 
     `ess` is the effective sample size sum(w)/max(w); a collapse to
     O(1) signals that a few heavy-tailed weights dominate and the
-    standard error is unreliable.
+    standard error is unreliable.  `kish_ess` is the Kish effective
+    sample size (sum w)^2 / sum w^2 = n / (1 + var(w) / mean(w)^2),
+    which tracks the weights' relative variance; both are `n_paths`
+    for equal weights.
     """
 
     mean: float
     stderr: float
     ess: float
     n_paths: int
+    kish_ess: float
 
 
 def sigma_width(kT):
@@ -273,9 +277,10 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         Sampling law for the increments.
     weight : {"none", "exp_neg_2s", "exp_neg_2ell"}
         Per-path weight from the endpoint center coordinate.
-    observable : str or callable
+    observable : str or callable, or a tuple of them
         Key into OBSERVABLES, or a callable f(nu, mu) -> real array
-        evaluated at the endpoint.
+        evaluated at the endpoint.  A tuple estimates every observable
+        in it from one draw of the records.
     n_paths, N, dt, kappa, seed
         Monte Carlo size and path parameters; all randomness derives
         from `seed`.  Chunk j of `chunk` paths is substream j, and its
@@ -284,20 +289,24 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         as well as on the seed, but not on which thread drew which
         block.  With a weight each chunk goes through
         `paths.sample_endpoints`; with weight "none" only the linear
-        sums (nu, mu) are needed, and each block of records is
-        projected onto them (`paths._phase_sums`) without forming the
-        centre z.  Both draw the same records, so the endpoints agree
-        to rounding.  Memory is O(`paths._PATH_BLOCK` N) for the
+        sums (nu, mu) are needed, and each block of white records is
+        projected onto their loads (`paths._phase_sums`) without
+        forming the centre z; under the modified measure those are
+        the kernel's whitened loads, so no record is correlated
+        either.  Both draw the same white records, so the endpoints
+        agree to rounding.  Memory is O(`paths._PATH_BLOCK` N) for the
         records plus O(`chunk`) for the endpoints, whatever the chunk
         size.
 
     Returns
     -------
-    FKEstimate
+    FKEstimate, or a tuple of them for a tuple of observables
         Mean of w*f over paths, its standard error, and the effective
-        sample size sum(w)/max(w).  With weight "none" this is the
-        plain expectation of the observable; with a weight and
-        observable "one" it estimates the weight's normalization.
+        sample sizes sum(w)/max(w) and (sum w)^2 / sum w^2.  With
+        weight "none" this is the plain expectation of the observable;
+        with a weight and observable "one" it estimates the weight's
+        normalization.  Each estimate of a tuple equals, bitwise, the
+        one that a call with that observable alone returns.
 
     Raises ValueError, before drawing anything, for an unknown measure,
     weight or observable name; `moments.RegimeError`, also before
@@ -316,9 +325,15 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         raise ValueError(f"unknown measure {measure!r}")
     if weight not in _WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
-    if isinstance(observable, str) and observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}")
-    func = OBSERVABLES[observable] if isinstance(observable, str) else observable
+    several = isinstance(observable, tuple)
+    observables = observable if several else (observable,)
+    if not observables:
+        raise ValueError("need at least one observable")
+    for obs in observables:
+        if isinstance(obs, str) and obs not in OBSERVABLES:
+            raise ValueError(f"unknown observable {obs!r}")
+    funcs = [OBSERVABLES[obs] if isinstance(obs, str) else obs
+             for obs in observables]
     weigh = _WEIGHTS[weight]
     if measure == "plain" and weight == "exp_neg_2s":
         moments.tilted_pivots(N, dt, kappa)
@@ -328,7 +343,7 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
                 f"{kappa * N * dt:.3g}; the standard error is meaningless",
                 stacklevel=2)
 
-    w_parts, f_parts = [], []
+    w_parts, f_parts = [], [[] for _ in funcs]
     for stream, start in enumerate(range(0, n_paths, chunk)):
         size = min(chunk, n_paths - start)
         if weigh is None:
@@ -341,18 +356,23 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
             with np.errstate(over="ignore"):  # overflow raises below
                 w_parts.append(weigh(end))
             nu, mu = end.nu, end.mu
-        f_parts.append(np.asarray(func(nu, mu), dtype=float))
+        for parts, func in zip(f_parts, funcs):
+            parts.append(np.asarray(func(nu, mu), dtype=float))
 
     w = np.concatenate(w_parts)
-    f = np.concatenate(f_parts)
     if not np.all(np.isfinite(w)):
         raise fock.NumericalDomainError(
             "path weights overflowed; reduce kappa*T")
     ess = w.sum() / w.max()
+    kish_ess = w.sum() ** 2 / (w @ w)
     if ess < 100:
         warnings.warn(f"effective sample size collapsed to {ess:.1f}; "
                       "the weighted estimate is unreliable", stacklevel=2)
-    wf = w * f
-    mean = wf.mean()
-    stderr = wf.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.inf
-    return FKEstimate(mean=mean, stderr=stderr, ess=ess, n_paths=n_paths)
+    estimates = []
+    for parts in f_parts:
+        wf = w * np.concatenate(parts)
+        mean = wf.mean()
+        stderr = wf.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.inf
+        estimates.append(FKEstimate(mean=mean, stderr=stderr, ess=ess,
+                                    n_paths=n_paths, kish_ess=kish_ess))
+    return tuple(estimates) if several else estimates[0]

@@ -23,8 +23,13 @@ congruent to the leading block B_k: the LDL^T pivots s_k of B are the
 Schur complements det M_k / det M_{k-1}, all of them are positive
 exactly when M is positive definite, and with B = U^T U (U upper
 bidiagonal, U_kk = sqrt(s_k)) the inverse factors as
-M^-1 = (D^T U^-1)(D^T U^-1)^T.  Determinants, moments and the
+M^-1 = F F^T with F = D^T U^-1.  Determinants, moments and the
 modified-measure sampler of `paths` are thus O(N) in time and memory.
+The moments are the Gram matrix of the two whitened loads
+F^T [u+, u-] of nu and mu.  Because nu and mu are linear in the
+record, the unweighted modified-measure estimate of `paths` projects
+white records onto those same loads and never correlates a record;
+only the record samplers apply F itself (`Kernel.correlate`).
 The same whitening makes W = a I - b K, the form by which the weight
 e^{-2s} tilts the plain measure, tridiagonal too (`tilted_pivots`).
 The pivot recursion is the discrete form of the Riccati system that
@@ -148,6 +153,40 @@ class Kernel:
         root = np.sqrt(self.pivots)
         return root, -self.rho / root[:-1]
 
+    def _whitened_loads(self):
+        """F^T [u+, u-] with F = D^T U^-1, as an (N, 2) array, N >= 1.
+
+        u+_k = rho^{N-1-k} weights recent increments, u-_k = rho^k
+        early ones: the loads of nu and mu in `paths.closed_form_hc`.
+        F^T [u+, u-] = U^-T D [u+, u-] is one lower-bidiagonal forward
+        substitution.  D u- = e_1 (u- is the first column of K) and
+        D u+ = g u+ but for its first entry rho^{N-1}; both are written
+        in closed form, since differencing the loads would cost digits.
+        The step multiplier -U_{k-1,k} / U_kk = rho / (U_{k-1,k-1} U_kk)
+        is positive, so the early column is its running product and the
+        recent column a recurrence of positive terms, run over Python
+        floats like `_schur_pivots`.  Columns are contiguous (Fortran
+        order).  Since F F^T = M^-1, the Gram matrix of the columns is
+        the quadratic forms of M^-1 in the loads (`direct_moments`), and
+        a white row z projected on them gives the loads' sums of the
+        correlated row F z.  Calls no public function.
+        """
+        N, kdt = self.N, self.kappa * self.dt
+        out = np.empty((N, 2), order="F")
+        root, off = self._bidiagonal()
+        step = -off / root[1:]
+        out[:, 1] = np.cumprod(np.concatenate(([1 / root[0]], step)))
+        recent = -np.expm1(-4 * kdt) * np.exp(-2 * kdt * np.arange(N)[::-1])
+        recent[0] = math.exp(-2 * kdt * (N - 1))
+        recent /= root
+        w = 0.0
+        column = []
+        for load, factor in zip(recent.tolist(), [0.0] + step.tolist()):
+            w = load + factor * w
+            column.append(w)
+        out[:, 0] = column
+        return out
+
     @cached_property
     def _blocks(self):
         """Read-only factors of `correlate`, one (start, head, edge) per block.
@@ -248,31 +287,17 @@ def direct_moments(kernel):
 
     n = kappa dt <u+|M^-1|u+> with the recent-weighted load
     u+_k = rho^{N-1-k}, m likewise with the early-weighted load
-    u-_k = rho^k, q mixed.  With M^-1 = (D^T U^-1)(D^T U^-1)^T these
-    are kappa dt times the Gram matrix of W = U^-T D [u+, u-], one
-    lower-bidiagonal forward substitution.  D u- = e_1 (u- is the first
-    column of K) and D u+ = g u+ but for its first entry rho^{N-1}; both
-    are written in closed form, since differencing the loads would cost
-    digits.  The step multiplier -U_{k-1,k} / U_kk = rho / (U_{k-1,k-1}
-    U_kk) is positive, so the early column is its running product and
-    the recent column a recurrence of positive terms, run over Python
-    floats like `_schur_pivots`.
+    u-_k = rho^k, q mixed.  With M^-1 = F F^T, F = D^T U^-1, these are
+    kappa dt times the Gram matrix of the whitened loads
+    F^T [u+, u-] (`Kernel._whitened_loads`, one O(N) forward
+    substitution).  The unweighted modified-measure Feynman-Kac
+    estimate (`paths._phase_sums`) projects white records onto the
+    same loads, so its sample mean of |nu|^2 estimates this n.
     """
     if kernel.N == 0:
         return MomentTriple(0.0, 0.0, 0.0)
-    N, kdt = kernel.N, kernel.kappa * kernel.dt
-    root, off = kernel._bidiagonal()
-    step = -off / root[1:]
-    early = np.cumprod(np.concatenate(([1 / root[0]], step)))
-    recent = -np.expm1(-4 * kdt) * np.exp(-2 * kdt * np.arange(N - 1, -1, -1))
-    recent[0] = math.exp(-2 * kdt * (N - 1))
-    recent /= root
-    w = 0.0
-    column = []
-    for load, factor in zip(recent.tolist(), [0.0] + step.tolist()):
-        w = load + factor * w
-        column.append(w)
-    recent = np.array(column)
+    kdt = kernel.kappa * kernel.dt
+    recent, early = kernel._whitened_loads().T
     return MomentTriple(kdt * (recent @ recent), kdt * (early @ early),
                         kdt * (recent @ early))
 

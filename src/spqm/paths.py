@@ -13,8 +13,11 @@ them; complex increments are formed only for the caller.  One block
 loop serves three uses: the record samplers store the blocks, the
 endpoint sampler reduces them to (nu, z, mu), and the unweighted
 Feynman-Kac estimate of `dists` projects them onto the linear sums
-(nu, mu) alone, skipping the quadratic centre z.  The same two threads
-(`_run_blocks`) share the blocks of steps of the Kraus product.
+(nu, mu) alone, skipping the quadratic centre z.  That projection
+takes the white blocks under either measure: under the modified one
+it projects onto the kernel's whitened loads of (nu, mu), so it never
+correlates a record.  The same two threads (`_run_blocks`) share the
+blocks of steps of the Kraus product.
 
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
@@ -204,12 +207,13 @@ def _each_block(kernel, N, seed, stream, n_paths, step, *args):
     own generator `_rng(seed, stream, b)`: path p's real row 2p and its
     imaginary row 2p+1.  With `kernel` given the rows are correlated in
     place by `kernel.correlate` (modified measure) before `step` sees
-    them.  The blocks are shared by the two threads of `_run_blocks`,
-    and each thread draws the blocks it claims into its own row
-    buffer; each block has its own generator and `step` writes it to
-    its own slot.  Both row buffers are made here, in the calling
-    thread, because a buffer freed by the worker would stay in that
-    thread's heap arena and raise the peak memory.
+    them; `_phase_sums` passes None under either measure.  The blocks
+    are shared by the two threads of `_run_blocks`, and each thread
+    draws the blocks it claims into its own row buffer; each block has
+    its own generator and `step` writes it to its own slot.  Both row
+    buffers are made here, in the calling thread, because a buffer
+    freed by the worker would stay in that thread's heap arena and
+    raise the peak memory.
     """
     count = -(-n_paths // _PATH_BLOCK)
     buffers = np.empty((min(count, 2), 2 * min(n_paths, _PATH_BLOCK), N))
@@ -356,19 +360,29 @@ def _measure_kernel(measure, N, dt, kappa, n_paths):
 def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
     """The (nu, mu) of `sample_endpoints` with the same arguments, no z.
 
-    nu and mu are linear in the record, so each block of rows, drawn
-    and correlated as there, is projected onto the (N, 2) loads
-    sqrt(kappa dt/2) [rho^(N-1-k), rho^k] of `closed_form_hc`
-    (`_project_rows`), the sampler's scale sqrt(dt/2) folded in.  Row
-    2p gives the real parts of path p's (nu, mu), row 2p+1 the
-    imaginary parts.  The centre z, the only part that is quadratic in
-    the record, is never formed.
+    nu and mu are linear in the record, so each block of white rows,
+    drawn as there, is projected onto (N, 2) loads (`_project_rows`),
+    the sampler's scale sqrt(dt/2) folded in.  Under the plain measure
+    the loads are sqrt(kappa dt/2) [rho^(N-1-k), rho^k] of
+    `closed_form_hc`.  Under the modified measure a record is F z for
+    white z, F = D^T U^-1 the kernel's factor, and l^T (F z) =
+    (F^T l)^T z, so the white rows are projected onto the whitened
+    loads sqrt(kappa dt/2) F^T [rho^(N-1-k), rho^k]
+    (`moments.Kernel._whitened_loads`, O(N), made on the calling
+    thread) and no record is ever correlated.  Row 2p gives the real
+    parts of path p's (nu, mu), row 2p+1 the imaginary parts.  The
+    centre z, the only part that is quadratic in the record, is never
+    formed.
     """
     kernel = _measure_kernel(measure, N, dt, kappa, n_paths)
-    decay = np.exp(-2 * kappa * dt) ** np.arange(N)
-    loads = np.sqrt(kappa * dt / 2) * np.stack([decay[::-1], decay], axis=1)
+    if kernel is None:
+        decay = np.exp(-2 * kappa * dt) ** np.arange(N)
+        loads = np.stack([decay[::-1], decay], axis=1)
+    else:
+        loads = kernel._whitened_loads()
+    loads = np.sqrt(kappa * dt / 2) * loads
     sums = np.empty((2 * n_paths, 2))
-    _each_block(kernel, N, seed, stream, n_paths, _project_rows, sums, loads)
+    _each_block(None, N, seed, stream, n_paths, _project_rows, sums, loads)
     return (sums[0::2, 0] + 1j * sums[1::2, 0],
             sums[0::2, 1] + 1j * sums[1::2, 1])
 

@@ -127,8 +127,8 @@ def check_plain_isometry():
     """
     N, dt = 1000, 1e-3
     kw = dict(n_paths=100_000, N=N, dt=dt, kappa=1.0, seed=77, chunk=10000)
-    nu2 = dists.feynman_kac_estimate("plain", "none", "nu_abs2", **kw)
-    numu = dists.feynman_kac_estimate("plain", "none", "numu_real", **kw)
+    nu2, numu = dists.feynman_kac_estimate(
+        "plain", "none", ("nu_abs2", "numu_real"), **kw)
     rho = np.exp(-2 * dt)
     t_nu2 = dt * (1 - rho ** (2 * N)) / (1 - rho ** 2)
     t_numu = dt * N * rho ** (N - 1)
@@ -141,8 +141,15 @@ def check_plain_isometry():
 def check_modified_measure():
     """Modified-measure increments carry covariance dt M^-1; n near 1/2.
 
-    The moment's target is the discrete n of the same kernel,
-    `moments.direct_moments` (0.501001 at kT = 1, dt = 1e-3).
+    The covariance half draws correlated records (`paths.sample_modified`,
+    through `moments.Kernel.correlate`).  The moment half's target is
+    the discrete n of the same kernel, `moments.direct_moments`
+    (0.501001 at kT = 1, dt = 1e-3), the Gram matrix of the kernel's
+    whitened loads; its estimate projects white draws onto those same
+    loads (`paths._phase_sums`), so it checks the projection and the
+    draw, not the correlating factor.  That factor is covered by the
+    covariance half, and against the projection by the tests'
+    `test_phase_sums_match_sampled_records`.
     """
     # Increment covariance at N=200, dt=0.01.
     N, dt, n_paths = 200, 0.01, 100_000

@@ -79,6 +79,7 @@ def test_distributions_with_mc(tmp_path):
     assert code == 0
     meta, rows = _read_output(out)
     assert "fk_normalization" in meta and "fk_ess" in meta
+    assert 1 <= meta["fk_kish_ess"] <= 5000
     assert (abs(meta["fk_normalization"] - meta["fk_closed_form"])
             <= 5 * meta["fk_stderr"])
     assert len(rows) == 1 + 50

@@ -151,6 +151,7 @@ def test_feynman_kac_unweighted_unit_observable():
     assert est.mean == 1.0
     assert est.stderr == 0.0
     assert est.ess == 500
+    assert est.kish_ess == 500
 
 
 def test_feynman_kac_plain_moment():
@@ -281,6 +282,29 @@ def test_feynman_kac_unweighted_skips_the_centre(monkeypatch):
                                    N, dt, 1.0, 29)
 
 
+def test_feynman_kac_unweighted_modified_never_correlates(monkeypatch):
+    # Weight "none" under the modified measure projects white records
+    # onto the kernel's whitened loads; the weighted route still
+    # correlates them, since its centre z needs the record.
+    n_paths, chunk, N, dt = 700, 300, 60, 1e-3
+    want = np.concatenate([
+        np.abs(paths.sample_endpoints("modified", N, dt, 1.0, 29,
+                                      min(chunk, n_paths - start),
+                                      stream=stream).nu) ** 2
+        for stream, start in enumerate(range(0, n_paths, chunk))])
+
+    def refuse(self, white):
+        raise AssertionError("record correlated")
+
+    monkeypatch.setattr(moments.Kernel, "correlate", refuse)
+    est = dists.feynman_kac_estimate("modified", "none", "nu_abs2", n_paths,
+                                     N, dt, 1.0, 29, chunk=chunk)
+    assert abs(est.mean - want.mean()) <= 1e-14 * want.mean()
+    with pytest.raises(AssertionError, match="correlated"):
+        dists.feynman_kac_estimate("modified", "exp_neg_2s", "nu_abs2", 10,
+                                   N, dt, 1.0, 29)
+
+
 def test_feynman_kac_rejects_empty():
     with pytest.raises(ValueError):
         dists.feynman_kac_estimate("plain", "none", "one", n_paths=0,
@@ -303,6 +327,49 @@ def test_feynman_kac_equals_sample_then_reduce():
     assert abs(est.mean - wf.mean()) <= 1e-15 * abs(wf.mean())
     want_se = wf.std(ddof=1) / np.sqrt(n_paths)
     assert abs(est.stderr - want_se) <= 1e-14 * want_se
+
+
+def test_feynman_kac_kish_ess_from_sampled_weights():
+    # The weighted route through `paths.sample_endpoints`, one chunk.
+    n_paths, N, dt = 3000, 40, 1e-2
+    est = dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", n_paths,
+                                     N, dt, 1.0, 31)
+    w = np.exp(-2 * paths.sample_endpoints("plain", N, dt, 1.0, 31,
+                                           n_paths).s)
+    kish = w.sum() ** 2 / np.sum(w ** 2)
+    assert abs(est.kish_ess - kish) <= 1e-12 * kish
+    assert 1 < kish < n_paths
+
+
+@pytest.mark.parametrize("measure, weight", [
+    ("plain", "none"), ("modified", "none"), ("plain", "exp_neg_2s")])
+def test_feynman_kac_several_observables_from_one_draw(monkeypatch, measure,
+                                                       weight):
+    # Each estimate of a tuple is bitwise that of its observable alone,
+    # and the records are drawn once: two chunks, one call per chunk.
+    def real_mu(nu, mu):
+        return np.real(mu)
+
+    observables = ("nu_abs2", real_mu, "numu_real")
+    kw = dict(n_paths=700, N=60, dt=1e-3, kappa=1.0, seed=37, chunk=400)
+    alone = [dists.feynman_kac_estimate(measure, weight, obs, **kw)
+             for obs in observables]
+    calls = []
+    for name in ("_phase_sums", "sample_endpoints"):
+        def counted(*args, _func=getattr(paths, name), **kwargs):
+            calls.append(args)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(paths, name, counted)
+    together = dists.feynman_kac_estimate(measure, weight, observables, **kw)
+    assert len(calls) == 2
+    assert isinstance(together, tuple) and len(together) == 3
+    for got, want in zip(together, alone):
+        assert type(got) is dists.FKEstimate
+        assert tuple(got) == tuple(want)
+    with pytest.raises(ValueError, match="observable"):
+        dists.feynman_kac_estimate(measure, weight, (), **kw)
+    with pytest.raises(ValueError, match="unknown observable"):
+        dists.feynman_kac_estimate(measure, weight, ("one", "nu_abs3"), **kw)
 
 
 @pytest.mark.parametrize("measure, weight, observable", [

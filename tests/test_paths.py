@@ -244,8 +244,14 @@ def test_sample_endpoints_matches_sampled_records(measure, n_paths, N):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
+#: Time steps of the record lengths just inside the modified kernel's
+#: regime edge (N = 262 loses positive definiteness at kappa dt = 0.1,
+#: 1068 at 0.05); every other length of the test below takes 1e-3.
+_EDGE_DT = {261: 0.1, 1067: 0.05}
+
+
 @pytest.mark.parametrize("chunk", [None, 200])
-@pytest.mark.parametrize("N", [1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("N", [1, 31, 32, 33, 1000, 261, 1067])
 @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_phase_sums_match_sampled_records(measure, n_paths, N, chunk):
@@ -253,15 +259,33 @@ def test_phase_sums_match_sampled_records(measure, n_paths, N, chunk):
     # as `dists.feynman_kac_estimate` calls it, against the closed form
     # of the records the public sampler draws for the same chunk.
     chunk = chunk or n_paths
+    dt = _EDGE_DT.get(N, 1e-3)
     for stream, start in enumerate(range(0, n_paths, chunk)):
         size = min(chunk, n_paths - start)
-        nu, mu = paths._phase_sums(measure, N, 1e-3, 1.0, 7, size,
+        nu, mu = paths._phase_sums(measure, N, dt, 1.0, 7, size,
                                    stream=stream)
         want = paths.closed_form_hc(SAMPLERS[measure](
-            N, 1e-3, 1.0, 7, n_paths=size, stream=stream))
+            N, dt, 1.0, 7, n_paths=size, stream=stream))
         for a, b in ((nu, want.nu), (mu, want.mu)):
             assert a.shape == b.shape == (size,)
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_modified_phase_sums_never_correlate(monkeypatch):
+    # Under the modified measure the white rows are projected onto the
+    # kernel's whitened loads, so no record is correlated; the sums
+    # are those of the correlated records all the same.
+    want = paths.sample_endpoints("modified", 300, 1e-2, 1.0, 3, 600)
+
+    def refuse(self, white):
+        raise AssertionError("record correlated")
+
+    monkeypatch.setattr(moments.Kernel, "correlate", refuse)
+    nu, mu = paths._phase_sums("modified", 300, 1e-2, 1.0, 3, 600)
+    for a, b in ((nu, want.nu), (mu, want.mu)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    with pytest.raises(AssertionError, match="correlated"):
+        paths.sample_endpoints("modified", 300, 1e-2, 1.0, 3, 600)
 
 
 def test_phase_sums_reject_bad_arguments():
