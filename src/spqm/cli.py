@@ -146,7 +146,9 @@ def _cmd_povm(args):
                                            args.dim, args.seed)
         report.update(channel_trace_distance=channel.trace_distance,
                       channel_trace_mean=channel.trace_mean,
-                      channel_trace_stderr=channel.trace_stderr)
+                      channel_trace_stderr=channel.trace_stderr,
+                      channel_boundary_population=channel.metadata[
+                          "boundary_population"])
     header = sorted(report)
     _write(args.out, _metadata(args), header, [[report[k] for k in header]],
            args.format)

@@ -10,14 +10,16 @@ time-ordered Kraus product in a truncated Fock representation.
 Inside the samplers a block of records is a real array of rows, each
 path's real row followed by its imaginary row, as the generator draws
 them; complex increments are formed only for the caller.  One block
-loop serves three uses: the record samplers store the blocks, the
-endpoint sampler reduces them to (nu, z, mu), and the unweighted
+loop serves four uses: the record samplers store the blocks, the
+endpoint sampler reduces them to (nu, z, mu), the unweighted
 Feynman-Kac estimate of `dists` projects them onto the linear sums
-(nu, mu) alone, skipping the quadratic centre z.  That projection
-takes the white blocks under either measure: under the modified one
-it projects onto the kernel's whitened loads of (nu, mu), so it never
-correlates a record.  The same two threads (`_run_blocks`) share the
-blocks of steps of the Kraus product.
+(nu, mu) alone, skipping the quadratic centre z, and the channel Monte
+Carlo of `povm` reduces, represents and sums them in one schedule over
+all its chunks of records.  The projection takes the white blocks
+under either measure: under the modified one it projects onto the
+kernel's whitened loads of (nu, mu), so it never correlates a record.
+The same two threads (`_run_blocks`) share the blocks of steps of the
+Kraus product, each block's factors built from one ladder.
 
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
@@ -63,8 +65,8 @@ _PATH_BLOCK = 256
 #: Rows per product in `_project_rows`.
 _PROJECT_ROWS = 64
 
-#: The one worker thread of `_run_blocks`, shared by every sampler and
-#: the Kraus product, and made on first use.
+#: The one worker thread of `_run_blocks`, shared by every sampler, the
+#: channel Monte Carlo and the Kraus product, and made on first use.
 _worker = None
 
 
@@ -197,36 +199,46 @@ def _run_blocks(count, task):
         job.result()
 
 
-def _each_block(kernel, N, seed, stream, n_paths, step, *args):
-    """Call step(rows, start, *args) on every block of `n_paths` records.
+def _each_block(kernel, N, seed, streams, step, *args):
+    """Call step(rows, start, *args) on each block of the records of `streams`.
 
-    `step` is `_store_rows` (the record samplers), `_reduce_rows`
-    (`sample_endpoints`) or `_project_rows` (`_phase_sums`).
-    Block b holds the paths from start = b `_PATH_BLOCK` on, at most
-    `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from its
-    own generator `_rng(seed, stream, b)`: path p's real row 2p and its
-    imaginary row 2p+1.  With `kernel` given the rows are correlated in
-    place by `kernel.correlate` (modified measure) before `step` sees
-    them; `_phase_sums` passes None under either measure.  The blocks
-    are shared by the two threads of `_run_blocks`, and each thread
-    draws the blocks it claims into its own row buffer; each block has
-    its own generator and `step` writes it to its own slot.  Both row
-    buffers are made here, in the calling thread, because a buffer
-    freed by the worker would stay in that thread's heap arena and
-    raise the peak memory.
+    `streams` lists (stream, n_paths) pairs; the records are those of
+    each stream in turn, so start counts the paths of the earlier
+    streams too.  `step` is `_store_rows` (the record samplers),
+    `_reduce_rows` (`sample_endpoints`) or `_project_rows`
+    (`_phase_sums`), each over one stream, or `povm._channel_rows`
+    (`povm.channel_monte_carlo`, one stream per chunk of records).
+    Block b of a stream holds its paths from b `_PATH_BLOCK` on, at
+    most `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from
+    its own generator `_rng(seed, stream, b)`: path p's real row 2p and
+    its imaginary row 2p+1.  With `kernel` given the rows are
+    correlated in place by `kernel.correlate` (modified measure) before
+    `step` sees them; `_phase_sums` passes None under either measure.
+    The blocks of all streams are shared by the two threads of one
+    `_run_blocks` schedule, and each thread draws the blocks it claims
+    into its own row buffer; each block has its own generator and
+    `step` writes it to its own slot.  Both row buffers are made here,
+    in the calling thread, because a buffer freed by the worker would
+    stay in that thread's heap arena and raise the peak memory.
     """
-    count = -(-n_paths // _PATH_BLOCK)
-    buffers = np.empty((min(count, 2), 2 * min(n_paths, _PATH_BLOCK), N))
+    blocks, offset = [], 0
+    for stream, n_paths in streams:
+        for b, first in enumerate(range(0, n_paths, _PATH_BLOCK)):
+            blocks.append((stream, b, offset + first,
+                           min(_PATH_BLOCK, n_paths - first)))
+        offset += n_paths
+    width = max((size for *_, size in blocks), default=0)
+    buffers = np.empty((min(len(blocks), 2), 2 * width, N))
 
-    def draw(b, thread):
-        start = b * _PATH_BLOCK
-        rows = buffers[thread][:2 * min(_PATH_BLOCK, n_paths - start)]
+    def draw(k, thread):
+        stream, b, start, size = blocks[k]
+        rows = buffers[thread][:2 * size]
         _rng(seed, stream, b).standard_normal(out=rows)
         if kernel is not None:
             kernel.correlate(rows)
         step(rows, start, *args)
 
-    _run_blocks(count, draw)
+    _run_blocks(len(blocks), draw)
 
 
 def _store_rows(rows, start, dw, scale):
@@ -264,7 +276,7 @@ def _draw(kernel, N, dt, seed, n_paths, stream):
     """
     count = 1 if n_paths is None else n_paths
     dw = np.empty((count, N), dtype=complex)
-    _each_block(kernel, N, seed, stream, count, _store_rows, dw,
+    _each_block(kernel, N, seed, [(stream, count)], _store_rows, dw,
                 np.sqrt(dt / 2))
     return dw[0] if n_paths is None else dw
 
@@ -331,8 +343,8 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     """
     kernel = _measure_kernel(measure, N, dt, kappa, n_paths)
     ends = np.empty((3, n_paths), dtype=complex)
-    _each_block(kernel, N, seed, stream, n_paths, _reduce_rows, ends, kappa,
-                dt)
+    _each_block(kernel, N, seed, [(stream, n_paths)], _reduce_rows, ends,
+                kappa, dt)
     nu, z, mu = ends
     return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
 
@@ -382,7 +394,8 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
         loads = kernel._whitened_loads()
     loads = np.sqrt(kappa * dt / 2) * loads
     sums = np.empty((2 * n_paths, 2))
-    _each_block(None, N, seed, stream, n_paths, _project_rows, sums, loads)
+    _each_block(None, N, seed, [(stream, n_paths)], _project_rows, sums,
+                loads)
     return (sums[0::2, 0] + 1j * sums[1::2, 0],
             sums[0::2, 1] + 1j * sums[1::2, 1])
 
@@ -606,16 +619,18 @@ def kraus_time_ordered(path, dim):
         nu = mu = g c,  r = eps,  z = |c|^2 (eps - 1 + e^-eps)/eps^2,
 
     with g = (1 - e^-eps)/eps, so each factor is `group.represent` of
-    them: exact under truncation, no matrix exponential.  Each block of
-    `_KRAUS_BLOCK` steps is built (`group._represent`) and reduced to
-    its ordered product (`_ordered_product`) into a slot of its own;
-    the blocks are shared by the calling thread and the worker
-    (`_run_blocks`), so the product does not depend on the schedule,
-    and a record of at most one block uses no worker.  The slots are
-    then reduced the same way on the calling thread.  As dt -> 0 at
-    fixed record the product converges at first order in dt to
-    represent(closed_form_hc(path)).  Raises `fock.NumericalDomainError`
-    where a factor or the product is not finite.
+    them: exact under truncation, no matrix exponential.  With mu = nu
+    and z real the factor is L D L^H, L = exp(a_dag nu) and D =
+    exp(-Ho eps + z), so each block of `_KRAUS_BLOCK` steps is built
+    from one ladder (`_kraus_factors`) and reduced to its ordered
+    product (`_ordered_product`) into a slot of its own; the blocks are
+    shared by the calling thread and the worker (`_run_blocks`), so the
+    product does not depend on the schedule, and a record of at most
+    one block uses no worker.  The slots are then reduced the same way
+    on the calling thread.  As dt -> 0 at fixed record the product
+    converges at first order in dt to represent(closed_form_hc(path)).
+    Raises `fock.NumericalDomainError` where a factor or the product is
+    not finite.
 
     The truncation should keep the state support interior; as a
     guideline dim >= 8 (1 + max(|nu_t|, |mu_t|))^2.
@@ -632,14 +647,39 @@ def kraus_time_ordered(path, dim):
 
     def reduce(b, thread):
         steps = slice(b * _KRAUS_BLOCK, (b + 1) * _KRAUS_BLOCK)
-        slots[b] = _ordered_product(group._represent(
-            nu[steps], eps, z[steps], nu[steps], dim))
+        slots[b] = _ordered_product(_kraus_factors(nu[steps], eps, z[steps],
+                                                   dim))
 
     _run_blocks(len(slots), reduce)
     product = _ordered_product(slots)
     if not np.all(np.isfinite(product)):
         raise fock.NumericalDomainError("Kraus product overflowed")
     return product
+
+
+def _kraus_factors(nu, eps, z, dim):
+    """The factors group._represent(nu, eps, z, nu, dim), bit for bit.
+
+    `nu` is complex and `z` real, both of shape (n,).  The right ladder
+    of `group._represent`, exp(a_dag conj(nu)), is then the elementwise
+    conjugate of the left one, so one `fock._ladders` call builds L and
+    each factor is L D L^H, D = exp(-Ho eps + z) multiplied into L's
+    columns in place.  One check covers nu, the exponent and the
+    factors, as there.  Calls no public function, so that
+    `kraus_time_ordered` can run it on its worker thread.
+    """
+    left = fock._ladders(dim, nu.shape, nu)[..., 0, :, :]
+    right = np.swapaxes(left.conj(), -1, -2)
+    levels = np.arange(dim) + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -levels * eps + z[:, None]
+        left *= np.exp(exponent)[:, None, :]
+        out = left @ right
+    if not (np.isfinite(nu).all() and np.isfinite(exponent).all()
+            and np.isfinite(out).all()):
+        raise fock.NumericalDomainError(
+            "Kraus factor: an increment is not finite, or it overflows")
+    return out
 
 
 def _ordered_product(factors):

@@ -10,6 +10,11 @@ Kraus operators of record endpoints against the superoperator of the
 total channel, exponentiated block by block in the offset m - n that
 the channel keeps, and measures the late-time collapse of the POVM
 elements onto coherent state outer products.
+
+The Monte Carlo average never holds a record or an endpoint array:
+each block of records is drawn, reduced to its endpoints, represented
+and summed on one of the two threads of `paths._each_block`, into slots
+that the calling thread adds up in block order.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +32,9 @@ __all__ = [
     "late_time_coherent_residual",
 ]
 
-#: Paths per record batch of `channel_monte_carlo`; bounds its memory.
+#: Paths per chunk of `channel_monte_carlo`: chunk j of the records is
+#: drawn from substream j of the seed, so the chunk fixes the records.
+#: Memory is bounded by the row blocks of `paths._each_block` instead.
 CHANNEL_CHUNK = 1000
 
 
@@ -155,17 +162,29 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     Averages L rho L_dag, with L = represent(closed_form_hc(record)) the
     exact Kraus operator of a record (kappa = 1), and reports the trace
     distance to `channel_superoperator` applied to rho and the trace
-    preservation statistics.  Records come in batches of
-    `CHANNEL_CHUNK` paths, batch j from substream j of `seed` and its
+    preservation statistics.  Records come in chunks of
+    `CHANNEL_CHUNK` paths, chunk j from substream j of `seed` and its
     block b of `paths._PATH_BLOCK` paths from its own generator, seeded
     from (seed, j, b), so the result depends on that chunking as well
-    as on the seed.  Each batch is reduced to its endpoints by
-    `paths.sample_endpoints`, so the records take O(`paths._PATH_BLOCK`
-    N) memory.  Raises ValueError for n_paths < 1; with one path the
-    trace standard error is inf.
+    as on the seed.  The blocks of all chunks are one schedule of the
+    two threads of `paths._each_block`: the thread that draws a block
+    also reduces it to its endpoints, represents them and writes the
+    block's sum of L rho L_dag and its traces into slots of its own
+    (`_channel_rows`), and the calling thread adds the slots in block
+    order.  So the result does not depend on the schedule, and the
+    records take O(`paths._PATH_BLOCK` N) memory.  `metadata` holds
+    `boundary_population`, the averaged population of the top level
+    dim - 1, where the truncation acts.  Raises ValueError for
+    n_paths < 1 and for a kT or dt that is not positive and finite,
+    before anything is drawn; with one path the trace standard error
+    is inf.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if not (np.isfinite(kT) and kT > 0):
+        raise ValueError(f"kT must be positive and finite, got {kT}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError("rho must be a dim x dim matrix")
@@ -183,21 +202,11 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
 
     # Work in units kappa = 1: N steps of size dt cover T = kT.
     N = int(round(kT / dt))
-    if abs(N * dt - kT) > 1e-12:
-        raise ValueError("kT must be a multiple of dt")
+    if N < 1 or abs(N * dt - kT) > 1e-12:
+        raise ValueError("kT must be a positive multiple of dt")
 
-    rho_mc = np.zeros((dim, dim), dtype=complex)
-    traces = []
-    for stream, start in enumerate(range(0, n_paths, CHANNEL_CHUNK)):
-        size = min(CHANNEL_CHUNK, n_paths - start)
-        ends = paths.sample_endpoints("plain", N, dt, 1.0, seed, size,
-                                      stream=stream)
-        v = group.represent(ends, dim) @ factor
-        rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
-        traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)
+    rho_mc, traces = _channel_sums(factor, N, dt, dim, seed, n_paths)
     rho_mc /= n_paths
-    traces = np.concatenate(traces)
-
     super_op = channel_superoperator(kT, dim)
     rho_ref = (super_op @ rho.reshape(-1)).reshape(dim, dim)
     diff_evals = np.linalg.eigvalsh(rho_mc - rho_ref)
@@ -208,8 +217,45 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
         trace_stderr=(traces.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1
                       else np.inf),
         n_paths=n_paths, seed=seed,
-        metadata={"dt": dt, "chunk": CHANNEL_CHUNK},
+        metadata={"dt": dt, "chunk": CHANNEL_CHUNK,
+                  "boundary_population": rho_mc[-1, -1].real},
     )
+
+
+def _channel_sums(factor, N, dt, dim, seed, n_paths):
+    """Sum of L rho L_dag over `n_paths` records, and each record's trace.
+
+    rho = factor factor_dag; the records are those of
+    `channel_monte_carlo`, one `paths._each_block` stream per chunk of
+    `CHANNEL_CHUNK` paths, and each block is summed on the thread that
+    drew it (`_channel_rows`).  The block sums are added in block order.
+    """
+    streams = [(j, min(CHANNEL_CHUNK, n_paths - start))
+               for j, start in enumerate(range(0, n_paths, CHANNEL_CHUNK))]
+    sums, traces = {}, np.empty(n_paths)
+    paths._each_block(None, N, seed, streams, _channel_rows, dt, 2 * dt * N,
+                      dim, factor, sums, traces)
+    total = np.zeros((dim, dim), dtype=complex)
+    for start in sorted(sums):
+        total += sums[start]
+    return total, traces
+
+
+def _channel_rows(rows, start, dt, r, dim, factor, sums, traces):
+    """Write the Kraus sums of the records of `rows` into their slots.
+
+    The records (kappa = 1, scale sqrt(dt/2)) are reduced to their HC
+    endpoints (`paths._row_sums`), whose width is r = 2 dt N, and
+    represented (`group._represent`); with v = L factor, sums[start]
+    gets the block's sum of v v_dag and traces[start:] each record's
+    tr v v_dag.  Calls no public function, so that `paths._each_block`
+    can run it on its worker thread.
+    """
+    nu, z, mu = paths._row_sums(rows, np.sqrt(dt / 2), 1.0, dt)
+    v = group._represent(nu, r, z, mu, dim) @ factor
+    sums[start] = np.einsum("pij,pkj->ik", v, np.conj(v))
+    traces[start:start + len(v)] = np.einsum("pij,pij->p", v,
+                                             np.conj(v)).real
 
 
 def late_time_coherent_residual(kT, beta, alpha, dim):

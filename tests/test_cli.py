@@ -144,6 +144,16 @@ def test_povm_library_error_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dt", ["0", "-1e-3", "nan"])
+def test_povm_channel_bad_dt_is_usage_error(capsys, dt):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["povm", "--dim", "4", "--paths", "10", f"--dt={dt}"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "dt must be positive and finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_povm_smallest_dims(tmp_path, dim):
     out = tmp_path / "povm.csv"
@@ -161,7 +171,8 @@ def test_povm_channel_at_default_dim(tmp_path):
     _, rows = _read_output(out)
     report = json.loads(rows[0])
     channel = {k: v for k, v in report.items() if k.startswith("channel_")}
-    assert sorted(channel) == ["channel_trace_distance", "channel_trace_mean",
+    assert sorted(channel) == ["channel_boundary_population",
+                               "channel_trace_distance", "channel_trace_mean",
                                "channel_trace_stderr"]
     assert all(np.isfinite(v) for v in channel.values())
     assert (abs(channel["channel_trace_mean"] - 1)

@@ -1,8 +1,9 @@
-"""The package runs without loading scipy.
+"""The package runs without loading scipy, and imports start no thread.
 
 scipy is imported only inside the dense oracle
-`fock.matrix_exponential`.  pytest has loaded scipy already, so the
-check runs in a fresh interpreter.
+`fock.matrix_exponential`, and the worker thread of `paths._run_blocks`
+is made on first use.  pytest has loaded scipy already, so the check
+runs in a fresh interpreter.
 """
 
 import os
@@ -16,8 +17,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # channel Monte Carlo and its verify check.
 SCRIPT = """
 import sys
+import threading
 import numpy as np
+import spqm
 from spqm import dists, fock, group, moments, paths, povm, verify
+
+assert threading.active_count() == 1, threading.enumerate()
+assert paths._worker is None
 
 fock.displacement_operator(4, 0.1)
 group.represent(group.HCCoords.identity(), 4)

@@ -10,7 +10,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from spqm import fock, group, moments, paths
+from spqm import fock, group, moments, paths, povm
 
 
 def test_sample_wiener_statistics():
@@ -320,9 +320,13 @@ _FAILING_RUNS = {
 
 def _arrays(out):
     """The arrays of a sampler's result: increments, (nu, mu, z) or
-    the (nu, mu) of `paths._phase_sums`, or a Kraus product."""
+    the (nu, mu) of `paths._phase_sums`, a Kraus product, or the
+    figures of a channel report."""
     if isinstance(out, np.ndarray):
         return [out]
+    if isinstance(out, povm.ChannelReport):
+        return [out.trace_distance, out.trace_mean, out.trace_stderr,
+                out.metadata["boundary_population"]]
     if isinstance(out, paths.WienerPath):
         return [out.increments]
     if isinstance(out, tuple):
@@ -549,6 +553,10 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
              for m in SAMPLERS]
     record = paths.sample_wiener(500, 1e-3, 1.0, 4)
     runs.append(lambda: paths.kraus_time_ordered(record, 12))
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[0, 0] = 1.0
+    runs.append(lambda: povm.channel_monte_carlo(rho, 0.05, 1300, 1e-3, 6,
+                                                 4))
     want = [run() for run in runs]
     caller = threading.current_thread()
 
@@ -559,7 +567,7 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
             return func(*args, **kwargs)
         return call
 
-    for layer in (fock, group, moments, paths):
+    for layer in (fock, group, moments, paths, povm):
         for name in layer.__all__:
             func = getattr(layer, name)
             if inspect.isfunction(func):
@@ -682,6 +690,47 @@ def test_kraus_does_not_depend_on_schedule(monkeypatch):
     blocking.shutdown()
 
 
+def test_channel_does_not_depend_on_schedule(monkeypatch):
+    # The blocks of two chunks (1000 + 300 paths) are one schedule:
+    # bitwise the same sums, traces and report whether the two threads
+    # interleave, the calling thread takes every block, or the worker
+    # does.
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[:2, :2] = [[0.7, 0.2j], [-0.2j, 0.3]]
+    factor = np.linalg.cholesky(rho[:2, :2] + 0j)
+    factor = np.vstack([factor, np.zeros((4, 2))])
+
+    def run():
+        return (povm._channel_sums(factor, 40, 1e-3, 6, 8, 1300),
+                povm.channel_monte_carlo(rho, 0.04, 1300, 1e-3, 6, 8))
+
+    (want_sum, want_traces), want = run()
+    blocking = _BlockingPool()
+    for pool in (paths._worker, _IdlePool(), blocking):
+        monkeypatch.setattr(paths, "_worker", pool)
+        (total, traces), report = run()
+        assert np.array_equal(total, want_sum)
+        assert np.array_equal(traces, want_traces)
+        for a, b in zip(_arrays(report), _arrays(want)):
+            assert a == b
+    blocking.shutdown()
+
+
+@pytest.mark.parametrize("N", [1, 63, 64, 65, 500])
+@pytest.mark.parametrize("dim", [1, 2, 24])
+def test_kraus_factors_equal_represent(N, dim):
+    # One ladder and its conjugate give the factors of group._represent
+    # with mu = nu, bit for bit.
+    path = paths.sample_wiener(N, 2.5e-4, 1.0, seed=70 + N)
+    eps = 2 * path.dt
+    c = path.increments
+    nu = -np.expm1(-eps) / eps * c
+    z = np.abs(c) ** 2 * paths._kraus_centre(eps)
+    want = group._represent(nu, eps, z, nu, dim)
+    got = paths._kraus_factors(nu, eps, z, dim)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("N", [1, 64])
 def test_kraus_single_block_uses_no_worker(monkeypatch, N):
     path = paths.sample_wiener(N, 1e-3, 1.0, seed=46)
@@ -698,15 +747,15 @@ def test_kraus_huge_increment_raises(monkeypatch):
         paths.kraus_time_ordered(path, 12)
     # The worker takes both blocks: the overflow in block 1 is raised on
     # the calling thread, with no warning on either thread.
-    represent, threads = group._represent, []
+    factors, threads = paths._kraus_factors, []
 
     def spy(*args):
         threads.append(threading.current_thread())
-        return represent(*args)
+        return factors(*args)
 
     pool = _BlockingPool()
     monkeypatch.setattr(paths, "_worker", pool)
-    monkeypatch.setattr(group, "_represent", spy)
+    monkeypatch.setattr(paths, "_kraus_factors", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(fock.NumericalDomainError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spqm import dists, fock, group, povm
+from spqm import dists, fock, group, paths, povm
 
 
 def test_partition_function_values():
@@ -237,6 +237,117 @@ def test_channel_monte_carlo_input_validation():
     rho[-1, -1] = 1.0  # boundary support
     with pytest.raises(fock.NumericalDomainError):
         povm.channel_monte_carlo(rho, 0.2, 100, 1e-3, dim, seed=1)
+
+
+def _channel_oracle(rho, kT, n_paths, dt, dim, seed):
+    """The channel average as a loop over chunks of `CHANNEL_CHUNK` paths.
+
+    Each chunk's endpoints come from `paths.sample_endpoints` on its own
+    substream, are represented by `group.represent` and summed by
+    einsum.  Returns (rho_mc, traces, trace_distance, trace_mean,
+    trace_stderr).
+    """
+    evals, evecs = np.linalg.eigh(rho)
+    keep = evals > 1e-14
+    factor = evecs[:, keep] * np.sqrt(evals[keep])
+    N = int(round(kT / dt))
+    rho_mc = np.zeros((dim, dim), dtype=complex)
+    traces = []
+    for stream, start in enumerate(range(0, n_paths, povm.CHANNEL_CHUNK)):
+        size = min(povm.CHANNEL_CHUNK, n_paths - start)
+        ends = paths.sample_endpoints("plain", N, dt, 1.0, seed, size,
+                                      stream=stream)
+        v = group.represent(ends, dim) @ factor
+        rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
+        traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)
+    rho_mc /= n_paths
+    traces = np.concatenate(traces)
+    rho_ref = (povm.channel_superoperator(kT, dim)
+               @ rho.reshape(-1)).reshape(dim, dim)
+    distance = 0.5 * np.abs(np.linalg.eigvalsh(rho_mc - rho_ref)).sum()
+    stderr = (traces.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1
+              else np.inf)
+    return rho_mc, traces, distance, traces.mean(), stderr
+
+
+def _mixed_state(dim, top):
+    """A rank-3 density matrix on levels top-2 .. top with coherences;
+    the vacuum at dim 2, where level 0 is the only interior one."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    if dim == 2:
+        rho[0, 0] = 1.0
+        return rho
+    a = np.random.default_rng(dim + top).normal(size=(3, 6)).view(complex)
+    block = a @ a.conj().T
+    rho[top - 2:top + 1, top - 2:top + 1] = block / np.trace(block)
+    return rho
+
+
+def _close(got, want, rtol=1e-13):
+    return got == want or abs(got - want) <= rtol * abs(want)
+
+
+@pytest.mark.parametrize("dim", [2, 6, 8])
+@pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 1000, 1001, 2500])
+def test_channel_matches_chunk_loop(n_paths, dim):
+    # One block schedule over all chunks: the same records as the chunk
+    # loop, so the same traces bit for bit; only the order in which the
+    # sum of L rho L_dag is added up differs.
+    rho, kT, dt, seed = _mixed_state(dim, 2 if dim > 2 else 0), 0.05, 1e-3, 9
+    rho_mc, traces, distance, mean, stderr = _channel_oracle(
+        rho, kT, n_paths, dt, dim, seed)
+    evals, evecs = np.linalg.eigh(rho)
+    factor = evecs[:, evals > 1e-14] * np.sqrt(evals[evals > 1e-14])
+    total, got_traces = povm._channel_sums(factor, 50, dt, dim, seed, n_paths)
+    assert np.array_equal(got_traces, traces)
+    assert (np.linalg.norm(total / n_paths - rho_mc)
+            <= 1e-13 * np.linalg.norm(rho_mc))
+    report = povm.channel_monte_carlo(rho, kT, n_paths, dt, dim, seed)
+    assert _close(report.trace_distance, distance)
+    assert _close(report.trace_mean, mean)
+    assert _close(report.trace_stderr, stderr)
+
+
+@pytest.mark.parametrize("dim, top", [(6, 0), (6, 4), (8, 6)])
+def test_channel_boundary_population(dim, top):
+    # The averaged population of level dim - 1, against the chunk loop,
+    # for the vacuum and for a state reaching level dim - 2.
+    if top == 0:
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+    else:
+        rho = _mixed_state(dim, top)
+    report = povm.channel_monte_carlo(rho, 0.05, 1300, 1e-3, dim, 4)
+    want = _channel_oracle(rho, 0.05, 1300, 1e-3, dim, 4)[0][-1, -1].real
+    got = report.metadata["boundary_population"]
+    assert isinstance(got, float) and got > 0
+    assert abs(got - want) <= 1e-13 * want
+    if top:
+        assert got > 1e-3
+
+
+@pytest.mark.parametrize("kT, dt, match", [
+    (0.0, 1e-3, "kT"), (-0.2, 1e-3, "kT"), (np.nan, 1e-3, "kT"),
+    (np.inf, 1e-3, "kT"), (0.2, 0.0, "dt"), (0.2, -1e-3, "dt"),
+    (0.2, np.nan, "dt"), (0.2, np.inf, "dt"),
+])
+def test_channel_rejects_bad_time_before_drawing(monkeypatch, kT, dt, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(paths, "_each_block", refuse)
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[0, 0] = 1.0
+    with pytest.raises(ValueError,
+                       match=f"^{match} must be positive and finite"):
+        povm.channel_monte_carlo(rho, kT, 10, dt, 6, seed=1)
+
+
+def test_channel_rejects_kt_below_one_step():
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[0, 0] = 1.0
+    with pytest.raises(ValueError, match="multiple of dt"):
+        povm.channel_monte_carlo(rho, 1e-13, 10, 1e-3, 6, seed=1)
 
 
 def test_late_time_residual_ground():
