@@ -247,10 +247,7 @@ def _channel_oracle(rho, kT, n_paths, dt, dim, seed):
     einsum.  Returns (rho_mc, traces, trace_distance, trace_mean,
     trace_stderr).
     """
-    evals, evecs = np.linalg.eigh(rho)
-    keep = evals > 1e-14
-    factor = evecs[:, keep] * np.sqrt(evals[keep])
-    N = int(round(kT / dt))
+    factor, N = _rho_factor(rho), int(round(kT / dt))
     rho_mc = np.zeros((dim, dim), dtype=complex)
     traces = []
     for stream, start in enumerate(range(0, n_paths, povm.CHANNEL_CHUNK)):
@@ -268,6 +265,13 @@ def _channel_oracle(rho, kT, n_paths, dt, dim, seed):
     stderr = (traces.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1
               else np.inf)
     return rho_mc, traces, distance, traces.mean(), stderr
+
+
+def _rho_factor(rho):
+    """F with rho = F F_dag, from the eigenvalues above 1e-14."""
+    evals, evecs = np.linalg.eigh(rho)
+    keep = evals > 1e-14
+    return evecs[:, keep] * np.sqrt(evals[keep])
 
 
 def _mixed_state(dim, top):
@@ -296,9 +300,8 @@ def test_channel_matches_chunk_loop(n_paths, dim):
     rho, kT, dt, seed = _mixed_state(dim, 2 if dim > 2 else 0), 0.05, 1e-3, 9
     rho_mc, traces, distance, mean, stderr = _channel_oracle(
         rho, kT, n_paths, dt, dim, seed)
-    evals, evecs = np.linalg.eigh(rho)
-    factor = evecs[:, evals > 1e-14] * np.sqrt(evals[evals > 1e-14])
-    total, got_traces = povm._channel_sums(factor, 50, dt, dim, seed, n_paths)
+    total, got_traces = povm._channel_sums(_rho_factor(rho), round(kT / dt),
+                                           dt, dim, seed, n_paths)
     assert np.array_equal(got_traces, traces)
     assert (np.linalg.norm(total / n_paths - rho_mc)
             <= 1e-13 * np.linalg.norm(rho_mc))
