@@ -16,9 +16,11 @@ verify
     Run the full verification suite, or the checks named by --check;
     exit 0 iff every check run passes.
 
-Every output file starts with a single JSON metadata line (parameters,
-seed, version) followed by data rows in CSV or JSON-lines form.  All
-randomness derives from the --seed flag.
+Each subcommand takes only the flags it reads, and --out and --format.
+Every output file starts with a single JSON metadata line (version and
+the subcommand's parameters) followed by data rows in CSV or JSON-lines
+form.  In the subcommands that take --seed, all randomness derives from
+it; verify's checks fix their own seeds and parameters.
 """
 
 import argparse
@@ -35,13 +37,11 @@ __all__ = ["main"]
 
 
 def _metadata(args, **extra):
-    meta = {"artifact": "spqm", "version": __version__,
-            "subcommand": args.command}
-    for key in ("kappa", "t_final", "dt", "dim", "paths", "seed"):
-        if hasattr(args, key):
-            meta[key] = getattr(args, key)
-    meta.update(extra)
-    return meta
+    """The run's parameters: every parsed flag but --out and --format."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("func", "command", "out", "format")}
+    return {"artifact": "spqm", "version": __version__,
+            "subcommand": args.command, **params, **extra}
 
 
 def _write(out_path, metadata, header, rows, fmt):
@@ -171,29 +171,23 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(parser, dt_required=False, dt_default=None,
-                t_final_default=1.0):
-    parser.add_argument("--kappa", type=float, default=1.0,
-                        help="measurement rate (default 1.0)")
-    parser.add_argument("--t-final", dest="t_final", type=float,
-                        default=t_final_default,
-                        help=f"final time (default {t_final_default})")
-    if dt_required:
-        parser.add_argument("--dt", type=float, required=True,
-                            help="time step (required)")
-    else:
-        parser.add_argument("--dt", type=float, default=dt_default,
-                            help="time step")
-    parser.add_argument("--dim", type=int, default=24,
-                        help="Fock truncation dimension (default 24)")
-    parser.add_argument("--paths", type=int, default=0,
-                        help="Monte Carlo path count (0 = skip MC)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed; all randomness derives from it")
-    parser.add_argument("--out", default=None,
-                        help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data-row format (default csv)")
+# Every flag of the CLI, keyed by dest.  A subcommand takes only the
+# flags its handler reads, with its own defaults where they differ.
+_FLAGS = {
+    "kappa": dict(type=float, default=1.0, help="measurement rate"),
+    "t_final": dict(type=float, default=1.0, help="final time"),
+    "dt": dict(type=float, help="time step"),
+    "dim": dict(type=int, default=24, help="Fock truncation dimension"),
+    "paths": dict(type=int, default=0,
+                  help="Monte Carlo path count, 0 skips the Monte Carlo"),
+    "seed": dict(type=int, default=0,
+                 help="master seed; all randomness derives from it"),
+    "check": dict(type=int, action="append", metavar="N",
+                  help="run only check N (repeatable; default: all)"),
+    "out": dict(help="output file (default: stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv",
+                   help="data-row format"),
+}
 
 
 def build_parser():
@@ -202,44 +196,50 @@ def build_parser():
         description="Simultaneous P&Q measurement: simulation and "
                     "verification of the Kraus-operator diffusion.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate one measurement record")
-    _add_common(p, dt_required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("moments", help="moment curves and closed forms")
-    _add_common(p, dt_default=1e-3)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("distributions",
-                       help="reduced-distribution summary functions")
-    # N = 50 steps by default: the e^{-2s} weight of --paths has finite
-    # variance up to N = 76 at kappa dt = 0.01.
-    _add_common(p, dt_default=1e-2, t_final_default=0.5)
-    p.set_defaults(func=_cmd_distributions)
-
-    p = sub.add_parser("povm", help="POVM completeness and channel checks")
-    _add_common(p, dt_default=1e-3)
-    p.set_defaults(func=_cmd_povm)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p, dt_default=1e-3)
-    p.add_argument("--check", type=int, action="append", metavar="N",
-                   choices=[num for num, _, _ in verify.CHECKS],
-                   help="run only check N (repeatable; default: all)")
-    p.set_defaults(func=_cmd_verify)
+    commands = {
+        "simulate": ("integrate one measurement record", _cmd_simulate,
+                     {"kappa": {}, "t_final": {}, "dt": {"required": True},
+                      "seed": {}}),
+        "moments": ("moment curves and closed forms", _cmd_moments,
+                    {"kappa": {}, "t_final": {}}),
+        # N = 50 steps by default: the e^{-2s} weight of --paths has
+        # finite variance up to N = 76 at kappa dt = 0.01.
+        "distributions": ("reduced-distribution summary functions",
+                          _cmd_distributions,
+                          {"kappa": {}, "t_final": {"default": 0.5},
+                           "dt": {"default": 1e-2}, "paths": {}, "seed": {}}),
+        "povm": ("POVM completeness and channel checks", _cmd_povm,
+                 {"kappa": {}, "t_final": {}, "dt": {"default": 1e-3},
+                  "dim": {}, "paths": {}, "seed": {}}),
+        "verify": ("run the full verification suite", _cmd_verify,
+                   {"check": {"choices": [n for n, _, _ in verify.CHECKS]}}),
+    }
+    for name, (help_text, handler, flags) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest, overrides in {**flags, "out": {}, "format": {}}.items():
+            spec = {**_FLAGS[dest], **overrides}
+            if spec.get("default") is not None:
+                spec["help"] += " (default %(default)s)"
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    """Run one subcommand; library errors on its input are usage errors.
+    """Run one subcommand; errors on its input are usage errors.
 
-    Every typed error of the package subclasses ValueError.  Any
-    ValueError is reported the way argparse reports its own errors:
-    usage line, message, exit status 2.
+    A --kappa, --t-final or --dt that is not positive and finite, and
+    any ValueError of the library (every typed error of the package
+    subclasses it), is reported the way argparse reports its own
+    errors: usage line, message, exit status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest in ("kappa", "t_final", "dt"):
+        value = vars(args).get(dest)
+        if value is not None and not 0 < value < np.inf:
+            parser.error(f"--{dest.replace('_', '-')} must be positive "
+                         f"and finite, got {value}")
     try:
         return args.func(args)
     except ValueError as err:

@@ -220,7 +220,7 @@ def increment_left_multiply(x, dw, kappa, dt):
     The update keeps the literal |dw|^2 term in the center; it is not
     replaced by its mean dt.
     """
-    if dt <= 0 or kappa <= 0:
+    if not (0 < dt < np.inf and 0 < kappa < np.inf):
         raise ValueError("kappa and dt must be positive")
     root = np.sqrt(kappa) * dw
     decay = np.exp(-2 * kappa * dt)

@@ -90,7 +90,7 @@ class WienerPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0 or self.kappa <= 0:
+        if not (0 < self.dt < np.inf and 0 < self.kappa < np.inf):
             raise ValueError("dt and kappa must be positive")
 
     @property
@@ -268,13 +268,15 @@ def _project_rows(rows, start, sums, loads):
                   out=out[i:i + _PROJECT_ROWS])
 
 
-def _draw(kernel, N, dt, seed, n_paths, stream):
+def _draw(measure, N, dt, kappa, seed, n_paths, stream):
     """Complex increments of `n_paths` records (one record for None).
 
-    The blocks of `_each_block`, scaled by sqrt(dt/2) into their slots.
-    Memory beyond the result is O(`_PATH_BLOCK` N).
+    Arguments are checked by `_measure_kernel`; the blocks of
+    `_each_block` are scaled by sqrt(dt/2) into their slots.  Memory
+    beyond the result is O(`_PATH_BLOCK` N).
     """
     count = 1 if n_paths is None else n_paths
+    kernel = _measure_kernel(measure, N, dt, kappa, count)
     dw = np.empty((count, N), dtype=complex)
     _each_block(kernel, N, seed, [(stream, count)], _store_rows, dw,
                 np.sqrt(dt / 2))
@@ -296,9 +298,7 @@ def sample_wiener(N, dt, kappa, seed, n_paths=None, stream=0):
     a chunked Monte Carlo is reproducible for a fixed chunking, and its
     result depends on the chunking as well as on the seed.
     """
-    if N < 1:
-        raise ValueError("need at least one increment")
-    dw = _draw(None, N, dt, seed, n_paths, stream)
+    dw = _draw("plain", N, dt, kappa, seed, n_paths, stream)
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
@@ -318,12 +318,7 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     do not depend on the schedule.  Raises `moments.RegimeError` where
     the kernel is not positive definite.
     """
-    from . import moments
-
-    if N < 1:
-        raise ValueError("need at least one increment")
-    kernel = moments.build_kernel(N, dt, kappa)
-    dw = _draw(kernel, N, dt, seed, n_paths, stream)
+    dw = _draw("modified", N, dt, kappa, seed, n_paths, stream)
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 

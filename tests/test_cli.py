@@ -233,3 +233,62 @@ def test_verify_unknown_check_is_usage_error(capsys):
         cli.main(["verify", "--check", "99"])
     assert info.value.code == 2
     assert "invalid choice: 99" in capsys.readouterr().err
+
+
+# The flags each subcommand reads, besides --out and --format, and a
+# short invocation of it.
+_FLAGS_OF = {
+    "simulate": ({"kappa", "t_final", "dt", "seed"},
+                 ["--t-final", "0.01", "--dt", "1e-3"]),
+    "moments": ({"kappa", "t_final"}, ["--t-final", "0.1"]),
+    "distributions": ({"kappa", "t_final", "dt", "paths", "seed"}, []),
+    "povm": ({"kappa", "t_final", "dt", "dim", "paths", "seed"},
+             ["--dim", "4"]),
+    "verify": ({"check"}, ["--check", "13"]),
+}
+_VALUES = {"kappa": "7", "t_final": "0.02", "dt": "0.25", "dim": "2",
+           "paths": "3", "seed": "4"}
+_REMOVED = [(command, dest) for command, (flags, _) in _FLAGS_OF.items()
+            for dest in _VALUES if dest not in flags]
+
+
+@pytest.mark.parametrize("command, dest", _REMOVED)
+def test_removed_flag_is_usage_error(capsys, command, dest):
+    flag = "--" + dest.replace("_", "-")
+    base = _FLAGS_OF[command][1]
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, *base, flag, _VALUES[dest]])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS_OF))
+def test_metadata_records_exactly_the_flags_read(monkeypatch, tmp_path,
+                                                 command):
+    monkeypatch.setattr(verify, "CHECKS", [
+        (13, "stub", lambda: (True, "ok"))])
+    flags, base = _FLAGS_OF[command]
+    parsed = vars(cli.build_parser().parse_args([command, *base]))
+    assert set(parsed) - {"func", "command"} == flags | {"out", "format"}
+    out = tmp_path / "out.csv"
+    assert cli.main([command, *base, "--out", str(out)]) == 0
+    meta, _ = _read_output(out)
+    extra = {"closed_form_deviation"} if command == "simulate" else set()
+    assert set(meta) == {"artifact", "version", "subcommand"} | flags | extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--t-final", "-2"],
+    ["moments", "--t-final", "inf"],
+    ["moments", "--kappa", "-1"],
+    ["distributions", "--kappa", "-1"],
+    ["distributions", "--t-final", "nan"],
+    ["distributions", "--dt", "0", "--paths", "10"],
+    ["simulate", "--kappa", "nan", "--dt", "1e-3", "--t-final", "0.01"],
+    ["simulate", "--dt", "0"],
+])
+def test_bad_time_or_rate_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err

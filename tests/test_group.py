@@ -270,6 +270,15 @@ def test_increment_zero_noise():
     assert abs(y.r - (x.r + 2e-3)) <= 1e-16
 
 
+@pytest.mark.parametrize("kappa, dt", [
+    (np.nan, 1e-3), (1.0, np.nan), (np.inf, 1e-3), (1.0, np.inf),
+    (0.0, 1e-3), (1.0, -1e-3)])
+def test_increment_rejects_bad_rate_or_step(kappa, dt):
+    with pytest.raises(ValueError, match="must be positive"):
+        group.increment_left_multiply(group.HCCoords.identity(), 0.01j,
+                                      kappa, dt)
+
+
 def test_single_increment_cartan_leading_order():
     # One step at small kappa dt: beta + alpha ~ sqrt(k) dw/(k dt),
     # beta - alpha ~ -k dt sqrt(k) dw, ell ~ -k|dw|^2/(2 k dt).

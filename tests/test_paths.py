@@ -295,6 +295,34 @@ def test_phase_sums_reject_bad_arguments():
             paths._phase_sums(measure, N, 1e-3, 1.0, 0, n_paths)
 
 
+_SAMPLERS = {
+    "sample_wiener": lambda N, n: paths.sample_wiener(N, 1e-3, 1.0, 0, n),
+    "sample_modified": lambda N, n: paths.sample_modified(N, 1e-3, 1.0, 0, n),
+    "sample_endpoints": lambda N, n: paths.sample_endpoints(
+        "modified", N, 1e-3, 1.0, 0, n),
+    "_phase_sums": lambda N, n: paths._phase_sums("plain", N, 1e-3, 1.0, 0, n),
+}
+
+
+@pytest.mark.parametrize("N, n_paths, message", [
+    (10, 0, "need at least one path"), (10, -1, "need at least one path"),
+    (0, 5, "need at least one increment")])
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_samplers_share_one_argument_check(sampler, N, n_paths, message):
+    # All four samplers check through `_measure_kernel`: no empty batch
+    # for zero paths and no numpy shape error for a negative count.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _SAMPLERS[sampler](N, n_paths)
+
+
+@pytest.mark.parametrize("dt, kappa", [
+    (np.nan, 1.0), (1e-3, np.nan), (np.inf, 1.0), (1e-3, np.inf),
+    (0.0, 1.0), (1e-3, -1.0)])
+def test_wiener_path_rejects_bad_step_or_rate(dt, kappa):
+    with pytest.raises(ValueError, match="must be positive"):
+        paths.WienerPath(dt=dt, kappa=kappa, increments=np.zeros(3, complex))
+
+
 class _RecordingPool(futures.ThreadPoolExecutor):
     """A one-thread pool that keeps every job it was handed."""
 
