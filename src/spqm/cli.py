@@ -228,18 +228,23 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand; errors on its input are usage errors.
 
-    A --kappa, --t-final or --dt that is not positive and finite, and
-    any ValueError of the library (every typed error of the package
+    A --kappa, --t-final or --dt that is not positive and finite, a
+    kappa T or a step count T/dt that overflows to inf, and any
+    ValueError of the library (every typed error of the package
     subclasses it), is reported the way argparse reports its own
     errors: usage line, message, exit status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest in ("kappa", "t_final", "dt"):
-        value = vars(args).get(dest)
+    kappa, t_final, dt = (vars(args).get(dest)
+                          for dest in ("kappa", "t_final", "dt"))
+    for dest, value in (("kappa", kappa), ("t-final", t_final), ("dt", dt)):
         if value is not None and not 0 < value < np.inf:
-            parser.error(f"--{dest.replace('_', '-')} must be positive "
-                         f"and finite, got {value}")
+            parser.error(f"--{dest} must be positive and finite, got {value}")
+    if kappa is not None and t_final is not None and kappa * t_final == np.inf:
+        parser.error(f"kappa T = {kappa} * {t_final} is not finite")
+    if t_final is not None and dt is not None and t_final / dt == np.inf:
+        parser.error(f"the step count T/dt = {t_final} / {dt} is not finite")
     try:
         return args.func(args)
     except ValueError as err:

@@ -134,9 +134,17 @@ def sigma_width_rate(t, kappa=1.0):
 
 
 def normalization_factor(kT):
-    """N(kT) = e^{2kT}/(1 + kT), the total weight integrating B."""
+    """N(kT) = e^{2kT}/(1 + kT), the total weight integrating B.
+
+    Raises `fock.NumericalDomainError` where it is not finite: past
+    kT ~ 354.9, where e^{2kT} overflows, and at kT = -1 or NaN.
+    """
     kT = np.asarray(kT, dtype=float)
-    out = np.exp(2 * kT) / (1 + kT)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.exp(2 * kT) / (1 + kT)
+    if not np.all(np.isfinite(out)):
+        raise fock.NumericalDomainError(
+            "normalization factor e^(2kT)/(1 + kT) is not finite at this kT")
     return float(out) if out.ndim == 0 else out
 
 
@@ -294,9 +302,10 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         forming the centre z; under the modified measure those are
         the kernel's whitened loads, so no record is correlated
         either.  Both draw the same white records, so the endpoints
-        agree to rounding.  Memory is O(`paths._PATH_BLOCK` N) for the
-        records plus O(`chunk`) for the endpoints, whatever the chunk
-        size.
+        agree to rounding.  The records take O(`paths._PANEL_ROWS` N)
+        memory with weight "none", which draws them in panels, and
+        O(`paths._PATH_BLOCK` N) with a weight, which reduces whole
+        blocks; the endpoints take O(`chunk`).
 
     Returns
     -------

@@ -18,8 +18,14 @@ Carlo of `povm` reduces, represents and sums them in one schedule over
 all its chunks of records.  The projection takes the white blocks
 under either measure: under the modified one it projects onto the
 kernel's whitened loads of (nu, mu), so it never correlates a record.
-The same two threads (`_run_blocks`) share the blocks of steps of the
-Kraus product, each block's factors built from one ladder.
+Steps that act row by row (storing plain records, projecting) get each
+block in panels of `_PANEL_ROWS` rows, drawn one after another from
+the block's generator, so their rows take O(`_PANEL_ROWS` N) memory;
+steps that make one pass along the record per call (correlating,
+reducing) get whole blocks, O(`_PATH_BLOCK` N).  The same two threads
+(`_run_blocks`) share the blocks of `closed_form_hc`'s record and the
+blocks of steps of the Kraus product, each block's factors built from
+one ladder.
 
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
@@ -59,11 +65,17 @@ _KRAUS_BLOCK = 64
 _CENTRE_SERIES = tuple(1 / math.factorial(k + 2) for k in range(17))
 
 #: Paths per row block that the samplers draw (`_each_block`) and that
-#: `closed_form_hc` de-interleaves at once.
+#: `closed_form_hc` reduces at once.
 _PATH_BLOCK = 256
 
-#: Rows per product in `_project_rows`.
-_PROJECT_ROWS = 64
+#: Rows per panel of a block that `_each_block` hands to a row-wise step
+#: (`_store_rows` of plain records, `_project_rows`).  A panel of N = 1000
+#: steps is 512 KB, so it stays in a core's L2 cache between the draw
+#: and the step; and a product of 64 rows keeps OpenBLAS (0.3.31,
+#: default threads) on the calling thread, where one of a whole block
+#: woke its thread pool, whose spinning helper thread then took the
+#: second core from the samplers' worker thread.
+_PANEL_ROWS = 64
 
 #: The one worker thread of `_run_blocks`, shared by every sampler, the
 #: channel Monte Carlo and the Kraus product, and made on first use.
@@ -199,8 +211,8 @@ def _run_blocks(count, task):
         job.result()
 
 
-def _each_block(kernel, N, seed, streams, step, *args):
-    """Call step(rows, start, *args) on each block of the records of `streams`.
+def _each_block(kernel, N, seed, streams, step, *args, panel=2 * _PATH_BLOCK):
+    """Call step(rows, start, *args) on each panel of the records of `streams`.
 
     `streams` lists (stream, n_paths) pairs; the records are those of
     each stream in turn, so start counts the paths of the earlier
@@ -211,15 +223,20 @@ def _each_block(kernel, N, seed, streams, step, *args):
     Block b of a stream holds its paths from b `_PATH_BLOCK` on, at
     most `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from
     its own generator `_rng(seed, stream, b)`: path p's real row 2p and
-    its imaginary row 2p+1.  With `kernel` given the rows are
+    its imaginary row 2p+1.  The block reaches `step` in panels of
+    `panel` rows (even; the default is the whole block), filled one
+    after another from the block's generator, so the rows are those of
+    one draw of the whole block.  With `kernel` given each panel is
     correlated in place by `kernel.correlate` (modified measure) before
-    `step` sees them; `_phase_sums` passes None under either measure.
-    The blocks of all streams are shared by the two threads of one
-    `_run_blocks` schedule, and each thread draws the blocks it claims
-    into its own row buffer; each block has its own generator and
-    `step` writes it to its own slot.  Both row buffers are made here,
-    in the calling thread, because a buffer freed by the worker would
-    stay in that thread's heap arena and raise the peak memory.
+    `step` sees it; its callers pass whole blocks, as the correlation
+    makes one blocked pass along the record per call, and `_phase_sums`
+    passes None under either measure.  The blocks of all streams are
+    shared by the two threads of one `_run_blocks` schedule, and each
+    thread draws the blocks it claims into its own row buffer of one
+    panel; each block has its own generator and `step` writes it to
+    its own slot.  Both row buffers are made here, in the calling
+    thread, because a buffer freed by the worker would stay in that
+    thread's heap arena and raise the peak memory.
     """
     blocks, offset = [], 0
     for stream, n_paths in streams:
@@ -228,15 +245,17 @@ def _each_block(kernel, N, seed, streams, step, *args):
                            min(_PATH_BLOCK, n_paths - first)))
         offset += n_paths
     width = max((size for *_, size in blocks), default=0)
-    buffers = np.empty((min(len(blocks), 2), 2 * width, N))
+    buffers = np.empty((min(len(blocks), 2), min(panel, 2 * width), N))
 
     def draw(k, thread):
         stream, b, start, size = blocks[k]
-        rows = buffers[thread][:2 * size]
-        _rng(seed, stream, b).standard_normal(out=rows)
-        if kernel is not None:
-            kernel.correlate(rows)
-        step(rows, start, *args)
+        rng = _rng(seed, stream, b)
+        for first in range(0, 2 * size, panel):
+            rows = buffers[thread][:min(panel, 2 * size - first)]
+            rng.standard_normal(out=rows)
+            if kernel is not None:
+                kernel.correlate(rows)
+            step(rows, start + first // 2, *args)
 
     _run_blocks(len(blocks), draw)
 
@@ -255,31 +274,25 @@ def _reduce_rows(rows, start, ends, kappa, dt):
 
 
 def _project_rows(rows, start, sums, loads):
-    """Write rows @ loads into sums[2 start:], `_PROJECT_ROWS` rows at a time.
-
-    One product of a whole block woke OpenBLAS's thread pool (0.3.31,
-    default threads), whose spinning helper thread then took the second
-    core from the samplers' worker thread; products over slices of
-    `_PROJECT_ROWS` rows stay on the calling thread.
-    """
-    out = sums[2 * start:2 * start + len(rows)]
-    for i in range(0, len(rows), _PROJECT_ROWS):
-        np.matmul(rows[i:i + _PROJECT_ROWS], loads,
-                  out=out[i:i + _PROJECT_ROWS])
+    """Write rows @ loads into sums[2 start:], one product per panel."""
+    np.matmul(rows, loads, out=sums[2 * start:2 * start + len(rows)])
 
 
 def _draw(measure, N, dt, kappa, seed, n_paths, stream):
     """Complex increments of `n_paths` records (one record for None).
 
-    Arguments are checked by `_measure_kernel`; the blocks of
-    `_each_block` are scaled by sqrt(dt/2) into their slots.  Memory
-    beyond the result is O(`_PATH_BLOCK` N).
+    Arguments are checked by `_measure_kernel`; the rows of
+    `_each_block` are scaled by sqrt(dt/2) into their slots.  Plain
+    records come in panels of `_PANEL_ROWS` rows, so memory beyond the
+    result is O(`_PANEL_ROWS` N); modified ones in whole blocks, which
+    `Kernel.correlate` takes in one pass, O(`_PATH_BLOCK` N).
     """
     count = 1 if n_paths is None else n_paths
     kernel = _measure_kernel(measure, N, dt, kappa, count)
     dw = np.empty((count, N), dtype=complex)
     _each_block(kernel, N, seed, [(stream, count)], _store_rows, dw,
-                np.sqrt(dt / 2))
+                np.sqrt(dt / 2),
+                panel=_PANEL_ROWS if kernel is None else 2 * _PATH_BLOCK)
     return dw[0] if n_paths is None else dw
 
 
@@ -333,8 +346,9 @@ def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
     result, so the endpoints do not depend on the schedule either.
     Callers that need only nu and mu take `_phase_sums`, which draws
     the same blocks and skips the centre sum.
-    Memory is O(`_PATH_BLOCK` N) for the two row buffers plus the
-    endpoints.
+    Memory is O(`_PATH_BLOCK` N) for the two whole-block row buffers,
+    as `_row_sums` makes one blocked pass along the record per call,
+    plus the endpoints.
     """
     kernel = _measure_kernel(measure, N, dt, kappa, n_paths)
     ends = np.empty((3, n_paths), dtype=complex)
@@ -367,9 +381,10 @@ def _measure_kernel(measure, N, dt, kappa, n_paths):
 def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
     """The (nu, mu) of `sample_endpoints` with the same arguments, no z.
 
-    nu and mu are linear in the record, so each block of white rows,
-    drawn as there, is projected onto (N, 2) loads (`_project_rows`),
-    the sampler's scale sqrt(dt/2) folded in.  Under the plain measure
+    nu and mu are linear in the record, so each panel of
+    `_PANEL_ROWS` white rows, drawn as there, is projected onto (N, 2)
+    loads (`_project_rows`), the sampler's scale sqrt(dt/2) folded in;
+    the rows take O(`_PANEL_ROWS` N) memory.  Under the plain measure
     the loads are sqrt(kappa dt/2) [rho^(N-1-k), rho^k] of
     `closed_form_hc`.  Under the modified measure a record is F z for
     white z, F = D^T U^-1 the kernel's factor, and l^T (F z) =
@@ -390,7 +405,7 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
     loads = np.sqrt(kappa * dt / 2) * loads
     sums = np.empty((2 * n_paths, 2))
     _each_block(None, N, seed, [(stream, n_paths)], _project_rows, sums,
-                loads)
+                loads, panel=_PANEL_ROWS)
     return (sums[0::2, 0] + 1j * sums[1::2, 0],
             sums[0::2, 1] + 1j * sums[1::2, 1])
 
@@ -511,22 +526,25 @@ def closed_form_hc(path):
     local center sum, its end-of-block state E_b and its
     start-weighted sum G_b; the state S_b carried across blocks is E
     times the block-level Toeplitz matrix rho^(end_b - end_b').  Every
-    factor is at most 1, so the sums stay finite at any kappa T.  The
-    complex record is de-interleaved into real rows (real part, then
-    imaginary part, per path) `_PATH_BLOCK` paths at a time, so the
-    temporaries stay O(`_PATH_BLOCK` N) whatever the batch.
+    factor is at most 1, so the sums stay finite at any kappa T.  Each
+    block of `_PATH_BLOCK` paths of the complex record goes to
+    `_row_sums` as it is, with no real copy of the record (batch axes
+    that do not flatten to a view are copied once by the reshape), so
+    the temporaries are O(`_BLOCK` `_PATH_BLOCK`) per block.  The
+    blocks are shared by the two threads of `_run_blocks`, each written
+    to its own slot, so this must not be called from a `_run_blocks`
+    task, whose nested schedule would wait on its own worker.
     """
     dw = np.asarray(path.increments, dtype=complex)
     batch, N = dw.shape[:-1], dw.shape[-1]
     flat = dw.reshape(-1, N)
     ends = np.empty((3, len(flat)), dtype=complex)
-    for start in range(0, len(flat), _PATH_BLOCK):
-        block = flat[start:start + _PATH_BLOCK]
-        rows = np.empty((2 * len(block), N))
-        rows[0::2] = block.real
-        rows[1::2] = block.imag
-        ends[:, start:start + len(block)] = _row_sums(rows, 1.0, path.kappa,
-                                                       path.dt)
+
+    def reduce(b, thread):
+        block = slice(b * _PATH_BLOCK, (b + 1) * _PATH_BLOCK)
+        ends[:, block] = _row_sums(flat[block], 1.0, path.kappa, path.dt)
+
+    _run_blocks(-(-len(flat) // _PATH_BLOCK), reduce)
     nu, z, mu = ends.reshape((3,) + batch)
     return group.HCCoords(nu=nu, r=2 * path.kappa * path.dt * N, z=z, mu=mu)
 
@@ -535,9 +553,11 @@ def _row_sums(rows, scale, kappa, dt):
     """(nu, z, mu) of `closed_form_hc` for the records in `rows`.
 
     `rows` is real, shape (2P, N), in any memory order: path p's
-    increments are scale * (rows[2p] + 1j rows[2p+1]).  Block by block
-    the scaled rows are copied step-major into a contiguous (n, 2P)
-    slab, which is also the block's complex (n, P) record; the real
+    increments are scale * (rows[2p] + 1j rows[2p+1]); or complex,
+    shape (P, N), in any memory order, path p's increments scale *
+    rows[p].  Block by block the scaled record is copied step-major
+    into a contiguous (n, 2P) slab, which is also the block's complex
+    (n, P) record, the transpose of a complex (P, n) slice; the real
     weights act on it as one real GEMM, half the flops of the complex
     product, and the slab stays in cache for the local sum.  The
     block-level state is a real GEMM on the interleaved edges too, and
@@ -549,10 +569,11 @@ def _row_sums(rows, scale, kappa, dt):
     public function, so that `_each_block` can run it on its worker
     thread.
     """
-    width, N = rows.shape
+    N = rows.shape[1]
     rho = np.exp(-2 * kappa * dt)
     start = np.arange(0, N, _BLOCK)
-    slab = np.empty((_BLOCK, width))
+    slab = np.empty((_BLOCK, len(rows)), dtype=rows.dtype)
+    width = slab.view(float).shape[1]
     y = np.empty((_BLOCK + 2, width))
     edges = np.empty((2, len(start), width))
     weights = _block_weights(rho, _BLOCK).T
@@ -561,8 +582,8 @@ def _row_sums(rows, scale, kappa, dt):
         n = min(_BLOCK, N - s)
         if n < _BLOCK:
             weights = _block_weights(rho, n).T
-        x, out = slab[:n], y[:n + 2]
-        np.multiply(rows[:, s:s + n].T, scale, out=x)
+        np.multiply(rows[:, s:s + n].T, scale, out=slab[:n])
+        x, out = slab[:n].view(float), y[:n + 2]
         np.matmul(weights, x, out=out)
         local = local + np.einsum("jp,jp->p", x.view(complex),
                                   out[:n].view(complex).conj())

@@ -34,7 +34,8 @@ __all__ = [
 
 #: Paths per chunk of `channel_monte_carlo`: chunk j of the records is
 #: drawn from substream j of the seed, so the chunk fixes the records.
-#: Memory is bounded by the row blocks of `paths._each_block` instead.
+#: Memory is bounded by the two whole-block row buffers of
+#: `paths._each_block` instead, O(`paths._PATH_BLOCK` N).
 CHANNEL_CHUNK = 1000
 
 
@@ -172,7 +173,8 @@ def channel_monte_carlo(rho, kT, n_paths, dt, dim, seed):
     block's sum of L rho L_dag and its traces into slots of its own
     (`_channel_rows`), and the calling thread adds the slots in block
     order.  So the result does not depend on the schedule, and the
-    records take O(`paths._PATH_BLOCK` N) memory.  `metadata` holds
+    records take O(`paths._PATH_BLOCK` N) memory: whole blocks, as the
+    reduction makes one pass along the record per call.  `metadata` holds
     `boundary_population`, the averaged population of the top level
     dim - 1, where the truncation acts.  Raises ValueError for
     n_paths < 1 and for a kT or dt that is not positive and finite,

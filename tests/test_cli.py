@@ -292,3 +292,27 @@ def test_bad_time_or_rate_is_usage_error(capsys, argv):
         cli.main(argv)
     assert info.value.code == 2
     assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--kappa", "1e200", "--t-final", "1e200"], "kappa T"),
+    (["povm", "--kappa", "1e200", "--t-final", "1e200"], "kappa T"),
+    (["simulate", "--t-final", "1e200", "--dt", "1e-200"], "step count"),
+    (["distributions", "--t-final", "1e200", "--dt", "1e-200", "--paths",
+      "10"], "step count"),
+])
+def test_overflowing_time_is_usage_error(capsys, argv, message):
+    # Each flag is finite, but kappa T or T/dt overflows: a usage error,
+    # not an OverflowError traceback from the step count.
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert f"{message} " in capsys.readouterr().err
+
+
+def test_distributions_past_normalization_overflow_is_usage_error(capsys):
+    # N(kT) = e^{2kT}/(1 + kT) overflows past kT ~ 354.9: no inf rows.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["distributions", "--t-final", "1000"])
+    assert info.value.code == 2
+    assert "normalization factor" in capsys.readouterr().err

@@ -29,6 +29,15 @@ def test_normalization_factor_value():
     assert abs(dists.normalization_factor(1.0) - np.exp(2) / 2) <= 1e-12
 
 
+@pytest.mark.parametrize("kT", [355.0, 1000.0, -1.0, np.nan,
+                                np.array([1.0, 400.0])])
+def test_normalization_factor_refuses_non_finite(kT):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fock.NumericalDomainError, match="not finite"):
+            dists.normalization_factor(kT)
+
+
 def test_reduced_point_charts_agree():
     point = dists.ReducedPoint(r=1.4, beta=0.3 - 0.2j, alpha=0.1 + 0.5j)
     back = dists.ReducedPoint.from_hc(point.r, point.nu, point.mu)

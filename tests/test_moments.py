@@ -177,15 +177,18 @@ class _BasisDraws:
     Block b holds paths from b * `paths._PATH_BLOCK` on, and path k's
     real and imaginary white rows (drawn one after the other) are both
     the k-th unit vector: the rows of the identity, each stacked twice.
+    Each fill continues where the last one stopped, as a generator's
+    stream does.
     """
 
     def __init__(self, block):
-        self.first = 2 * block * paths._PATH_BLOCK
+        self.next = 2 * block * paths._PATH_BLOCK
 
     def standard_normal(self, out):
         rows, n = out.shape
-        out[...] = np.repeat(np.eye(n), 2, axis=0)[self.first:
-                                                   self.first + rows]
+        out[...] = np.repeat(np.eye(n), 2, axis=0)[self.next:
+                                                   self.next + rows]
+        self.next += rows
 
 
 def _banded_correlate(kernel, white):

@@ -4,6 +4,7 @@ import decimal
 import inspect
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent import futures
 
@@ -189,6 +190,40 @@ def test_blocked_closed_form_matches_recursion(N, shape):
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
+def _deinterleaved_closed_form(path):
+    """(nu, z, mu) of `closed_form_hc` with each 256-path block of the
+    record first copied into real rows, real part then imaginary part
+    per path."""
+    dw = path.increments
+    flat = dw.reshape(-1, dw.shape[-1])
+    ends = []
+    for start in range(0, len(flat), paths._PATH_BLOCK):
+        block = flat[start:start + paths._PATH_BLOCK]
+        rows = np.empty((2 * len(block), dw.shape[-1]))
+        rows[0::2] = block.real
+        rows[1::2] = block.imag
+        ends.append(paths._row_sums(rows, 1.0, path.kappa, path.dt))
+    return np.concatenate(ends, axis=1).reshape((3,) + dw.shape[:-1])
+
+
+@pytest.mark.parametrize("view", ["contiguous", "strided"])
+def test_closed_form_reduces_complex_blocks(view):
+    # 600 paths, three blocks of 256 + 256 + 88, handed to `_row_sums`
+    # as complex slices of the record: bitwise the sums of the
+    # de-interleaved rows, with leading batch axes and with a view
+    # whose batch and step axes are both strided.
+    record = paths.sample_wiener(140, 1e-3, 1.0, 6, n_paths=1200).increments
+    dw = (record[:600, :70].reshape(2, 300, 70) if view == "contiguous"
+          else record.reshape(4, 300, 140)[::2, :, ::2])
+    assert dw.shape == (2, 300, 70)
+    path = paths.WienerPath(dt=1e-3, kappa=1.0, increments=dw)
+    got = paths.closed_form_hc(path)
+    want = _deinterleaved_closed_form(path)
+    for a, b in zip((got.nu, got.z, got.mu), want):
+        assert a.shape == (2, 300)
+        assert np.array_equal(a, b)
+
+
 def test_closed_forms_at_kappa_t_400():
     # kappa T = 400: the HC sums and the Cartan transform carry only
     # decaying factors and stay finite.
@@ -288,6 +323,74 @@ def test_modified_phase_sums_never_correlate(monkeypatch):
         paths.sample_endpoints("modified", 300, 1e-2, 1.0, 3, 600)
 
 
+def _one_draw_rows(seed, stream, n_paths, N):
+    """The white rows of every block, each block drawn by one call of
+    its generator `paths._rng(seed, stream, b)`."""
+    sizes = [min(paths._PATH_BLOCK, n_paths - first)
+             for first in range(0, n_paths, paths._PATH_BLOCK)]
+    return np.concatenate([paths._rng(seed, stream, b).standard_normal(
+        (2 * size, N)) for b, size in enumerate(sizes)])
+
+
+def test_sample_wiener_panels_are_one_draw_per_block():
+    # Ragged sizes: blocks of 256 + 256 + 88 paths, and N = 1001 steps.
+    rows = _one_draw_rows(5, 2, 600, 1001)
+    dw = paths.sample_wiener(1001, 1e-3, 1.0, 5, n_paths=600,
+                             stream=2).increments
+    scale = np.sqrt(1e-3 / 2)
+    assert np.array_equal(dw.real, rows[0::2] * scale)
+    assert np.array_equal(dw.imag, rows[1::2] * scale)
+
+
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_phase_sum_panels_are_one_draw_per_block(measure):
+    # The projection of each block's one-call draw onto the loads of
+    # `paths._phase_sums`, product by product over `_PANEL_ROWS` rows.
+    N, dt = 1001, 1e-3
+    rows = _one_draw_rows(5, 2, 600, N)
+    if measure == "plain":
+        decay = np.exp(-2 * dt) ** np.arange(N)
+        loads = np.stack([decay[::-1], decay], axis=1)
+    else:
+        loads = moments.build_kernel(N, dt, 1.0)._whitened_loads()
+    loads = np.sqrt(dt / 2) * loads
+    sums = np.concatenate([rows[i:i + paths._PANEL_ROWS] @ loads
+                           for i in range(0, len(rows), paths._PANEL_ROWS)])
+    nu, mu = paths._phase_sums(measure, N, dt, 1.0, 5, 600, stream=2)
+    assert np.array_equal(nu, sums[0::2, 0] + 1j * sums[1::2, 0])
+    assert np.array_equal(mu, sums[0::2, 1] + 1j * sums[1::2, 1])
+
+
+def _traced_peak(run):
+    """run() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: Record length of the memory bounds below: a whole 256-path block of
+#: white rows is 82 MB there, one panel of `_PANEL_ROWS` rows 10 MB.
+_LONG_N = 20_000
+
+
+@pytest.mark.parametrize("measure", ["plain", "modified"])
+def test_phase_sums_hold_panels_not_blocks(measure):
+    # Three blocks on two threads: two panel buffers, and O(N) loads.
+    _, peak = _traced_peak(lambda: paths._phase_sums(
+        measure, _LONG_N, 1e-4, 1.0, 3, 600))
+    assert peak <= 3 * paths._PANEL_ROWS * _LONG_N * 8
+
+
+def test_sample_wiener_holds_panels_not_blocks():
+    # Two blocks on two threads; the record itself is excluded.
+    path, peak = _traced_peak(lambda: paths.sample_wiener(
+        _LONG_N, 1e-4, 1.0, 3, n_paths=258))
+    assert peak - path.increments.nbytes <= 3 * paths._PANEL_ROWS * _LONG_N * 8
+
+
 def test_phase_sums_reject_bad_arguments():
     for args in (("uniform", 10, 5), ("plain", 0, 5), ("plain", 10, 0)):
         measure, N, n_paths = args
@@ -382,6 +485,8 @@ def _fail_on_one_thread(monkeypatch, failing, sampler):
     Each thread holds one block when the failing one raises; the other
     must then claim no further block, and the error must be raised
     with no job in flight.  Afterwards the result is the same again.
+    A block may reach the step in several panels, so the calls are
+    counted by block (`start // paths._PATH_BLOCK`).
     """
     hook, run = _FAILING_RUNS[sampler]
     want = run()
@@ -393,15 +498,15 @@ def _fail_on_one_thread(monkeypatch, failing, sampler):
             super().stop()
             stopped.set()
 
-    def step_or_fail(*args):
+    def step_or_fail(rows, start, *args):
         role = "caller" if threading.current_thread() is caller else "worker"
-        calls.append(role)
+        calls.append((role, start // paths._PATH_BLOCK))
         if role == failing:
             inside.wait(10)
             raise RuntimeError(f"{role} block")
         inside.set()
         stopped.wait(10)
-        return step(*args)
+        return step(rows, start, *args)
 
     pool = _RecordingPool()
     monkeypatch.setattr(paths, "_worker", pool)
@@ -410,7 +515,7 @@ def _fail_on_one_thread(monkeypatch, failing, sampler):
     with pytest.raises(RuntimeError, match=f"{failing} block"):
         run()
     assert stopped.is_set()
-    assert sorted(calls) == ["caller", "worker"]
+    assert sorted(role for role, _ in set(calls)) == ["caller", "worker"]
     assert len(pool.jobs) == 1 and pool.jobs[0].done()
 
     monkeypatch.setattr(paths, hook, step)
@@ -437,7 +542,8 @@ def test_sample_wiener_caller_error_stops_worker(monkeypatch):
 
 class _EagerPool:
     """Runs each job at once, so the worker's part claims every block
-    before the calling thread asks for one."""
+    before the calling thread asks for one.  `taken` counts the blocks
+    its job reached, from the block indices appended to `calls`."""
 
     def __init__(self, calls):
         self.calls, self.taken = calls, None
@@ -446,7 +552,7 @@ class _EagerPool:
         before = len(self.calls)
         job = futures.Future()
         job.set_result(fn(*args))
-        self.taken = len(self.calls) - before
+        self.taken = len(set(self.calls[before:]))
         return job
 
 
@@ -464,9 +570,9 @@ def _check_schedules(monkeypatch, hook, run):
     # calling thread takes every block, or the worker does.
     step, calls = getattr(paths, hook), []
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return step(*args)
+    def counting(rows, start, *args):
+        calls.append(start // paths._PATH_BLOCK)
+        return step(rows, start, *args)
 
     monkeypatch.setattr(paths, hook, counting)
     runs = [run()]
@@ -569,10 +675,10 @@ def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
 
 
 def test_worker_thread_calls_no_public_function(monkeypatch):
-    # The worker thread of every sampler may call no traced (public)
-    # function of any layer, so the whole cost stays inside the span of
-    # the sampler on the calling thread.  The pool's thread takes every
-    # block.
+    # The worker thread of every sampler, and of the closed form, may
+    # call no traced (public) function of any layer, so the whole cost
+    # stays inside the span of the caller on the calling thread.  The
+    # pool's thread takes every block.
     runs = [lambda m=m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
             for m in SAMPLERS]
     runs += [lambda f=f: f(50, 1e-3, 1.0, 4, n_paths=600)
@@ -581,6 +687,8 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
              for m in SAMPLERS]
     record = paths.sample_wiener(500, 1e-3, 1.0, 4)
     runs.append(lambda: paths.kraus_time_ordered(record, 12))
+    records = paths.sample_wiener(50, 1e-3, 1.0, 4, n_paths=600)
+    runs.append(lambda: paths.closed_form_hc(records))
     rho = np.zeros((6, 6), dtype=complex)
     rho[0, 0] = 1.0
     runs.append(lambda: povm.channel_monte_carlo(rho, 0.05, 1300, 1e-3, 6,
