@@ -19,9 +19,11 @@ SEED = 2024
 path = paths.sample_wiener(N, DT, KAPPA, seed=SEED)
 print(f"record: N={N}, dt={DT}, kappa={KAPPA}, kT={KAPPA * DT * N}")
 
-# Route 1: iterate the exact recursion in the HC chart.
+# Route 1: scan the exact recursion in the HC chart; the trajectory is
+# one HCCoords whose fields hold the N + 1 points.
 traj = paths.propagate_sde(path, chart="hc")
-end = traj.hc[-1]
+end = group.HCCoords(nu=traj.nu[-1], r=traj.r[-1], z=traj.z[-1],
+                     mu=traj.mu[-1])
 print(f"\nHC endpoint:  nu={end.nu:.6f}  mu={end.mu:.6f}")
 print(f"              r={end.r:.3f}  s={end.s:.6f}  psi={end.psi:.6f}")
 
@@ -33,14 +35,14 @@ dev = max(abs(end.nu - closed.nu), abs(end.mu - closed.mu),
 print(f"closed-form sums deviate by {dev:.2e}")
 
 # Route 3: integrate in the Cartan chart and transform back.
-cartan_end = paths.propagate_sde(path, chart="cartan").cartan[-1]
+cartan = paths.propagate_sde(path, chart="cartan")
 ref = group.hc_to_cartan(end)
-print(f"\nCartan endpoint: beta={cartan_end.beta:.6f}  "
-      f"alpha={cartan_end.alpha:.6f}")
-print(f"cross-chart deviation: beta {abs(cartan_end.beta - ref.beta):.2e}, "
-      f"ell {abs(cartan_end.ell - ref.ell):.2e}")
+print(f"\nCartan endpoint: beta={cartan.beta[-1]:.6f}  "
+      f"alpha={cartan.alpha[-1]:.6f}")
+print(f"cross-chart deviation: beta {abs(cartan.beta[-1] - ref.beta):.2e}, "
+      f"ell {abs(cartan.ell[-1] - ref.ell):.2e}")
 f_gauge, _ = group.gauge_functions(end)
-print(f"ell = s - f residual: {abs(cartan_end.ell - (end.s - f_gauge)):.2e}")
+print(f"ell = s - f residual: {abs(cartan.ell[-1] - (end.s - f_gauge)):.2e}")
 
 # Route 4: the time-ordered Kraus product converges to the represented
 # closed form at O(dt) on a fixed Brownian record.

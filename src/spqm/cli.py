@@ -74,20 +74,19 @@ def _steps(args):
 def _cmd_simulate(args):
     n = _steps(args)
     path = paths.sample_wiener(n, args.dt, args.kappa, args.seed)
-    traj = paths.propagate_sde(path, chart="hc")
+    x = paths.propagate_sde(path, chart="hc")
     closed = paths.closed_form_hc(path)
-    end = traj.hc[-1]
-    deviation = max(abs(end.nu - closed.nu), abs(end.mu - closed.mu),
-                    abs(end.z - closed.z))
+    deviation = max(abs(x.nu[-1] - closed.nu), abs(x.mu[-1] - closed.mu),
+                    abs(x.z[-1] - closed.z))
     header = ["k", "t", "re_dw", "im_dw", "re_nu", "im_nu", "r", "s", "psi",
               "re_mu", "im_mu"]
-    rows = []
-    for k, x in enumerate(traj.hc[1:]):
-        dw = path.increments[k]
-        rows.append([k, (k + 1) * args.dt, dw.real, dw.imag, x.nu.real,
-                     x.nu.imag, x.r, x.s, x.psi, x.mu.real, x.mu.imag])
+    dw = path.increments
+    columns = [np.arange(n), args.dt * np.arange(1, n + 1), dw.real, dw.imag,
+               x.nu[1:].real, x.nu[1:].imag, x.r[1:], x.s[1:], x.psi[1:],
+               x.mu[1:].real, x.mu[1:].imag]
     meta = _metadata(args, closed_form_deviation=deviation)
-    _write(args.out, meta, header, rows, args.format)
+    _write(args.out, meta, header,
+           zip(*(column.tolist() for column in columns)), args.format)
     return 0
 
 

@@ -15,8 +15,9 @@ in the ruler is handled structurally: densities are evaluated on shell
 (r = 2 kappa T) and the returned value excludes the delta.
 
 Weighted path expectations tie these closed forms to Monte Carlo: the
-plain Wiener measure with weight e^{-2s} (or e^{-2 ell}) reproduces the
-normalizations and moments of B (or C).
+plain Wiener measure with weight e^{-2s} reproduces the normalization
+and moments of B.  C is flat along beta + alpha, so it has no finite
+normalization (nor has e^{-2 ell} a finite mean under that measure).
 """
 
 import warnings
@@ -160,6 +161,11 @@ def _shell_tag(kT):
     return f"delta(r - {2 * kT})"
 
 
+def _prefactor(kT, sigma):
+    """2/(sinh(2kT) Sigma) = 4 e^{-2kT}/((1 - e^{-4kT}) Sigma), finite."""
+    return 4 * np.exp(-2 * kT) / (-np.expm1(-4 * kT) * sigma)
+
+
 def density_cartan_reduced(point, kT):
     """On-shell Cartan-form reduced density C.
 
@@ -168,7 +174,7 @@ def density_cartan_reduced(point, kT):
     """
     _check_on_shell(point, kT)
     sigma = sigma_width(kT)
-    prefactor = 2 / (np.sinh(2 * kT) * sigma)
+    prefactor = _prefactor(kT, sigma)
     exponent = -np.abs(point.beta - point.alpha) ** 2 / sigma
     return DensityValue(prefactor=prefactor, gaussian_exponent=exponent,
                         radial=_shell_tag(kT))
@@ -185,20 +191,22 @@ def density_hc_reduced(point, kT, normalized=False, variables="hc"):
                 -|nu-mu|^2 e^{kT}(1+kT)/(4 cosh kT Sigma)
         cartan: -|beta+alpha|^2 e^{-kT} sinh kT
                 -|beta-alpha|^2 e^{-kT} cosh kT (1+kT)/Sigma
+
+    Both forms are evaluated in decaying factors (e^{-kT} sinh kT =
+    (1 - e^{-2kT})/2 and so on), so they are finite at any kT > 0.
     """
     _check_on_shell(point, kT)
     sigma = sigma_width(kT)
-    prefactor = 2 / (np.sinh(2 * kT) * sigma)
+    prefactor = _prefactor(kT, sigma)
+    odd, even = -np.expm1(-2 * kT), 1 + np.exp(-2 * kT)
     if variables == "hc":
         plus = np.abs(point.nu + point.mu) ** 2
         minus = np.abs(point.nu - point.mu) ** 2
-        exponent = -(plus * np.exp(kT) / (4 * np.sinh(kT))
-                     + minus * np.exp(kT) * (1 + kT) / (4 * np.cosh(kT) * sigma))
+        exponent = -(plus / (2 * odd) + minus * (1 + kT) / (2 * even * sigma))
     elif variables == "cartan":
         plus = np.abs(point.beta + point.alpha) ** 2
         minus = np.abs(point.beta - point.alpha) ** 2
-        exponent = -(plus * np.exp(-kT) * np.sinh(kT)
-                     + minus * np.exp(-kT) * np.cosh(kT) * (1 + kT) / sigma)
+        exponent = -(plus * odd / 2 + minus * even * (1 + kT) / (2 * sigma))
     else:
         raise ValueError(f"unknown variable form {variables!r}")
     if normalized:
@@ -243,18 +251,12 @@ OBSERVABLES = {
 }
 
 
-def _weight_exp_neg_2ell(end):
-    f_gauge, _ = group.gauge_functions(end)
-    return np.exp(-2 * (end.s - f_gauge))
-
-
 #: Per-path weights of `feynman_kac_estimate`, from the HC endpoint;
 #: None for the unweighted estimate, which never forms the endpoint's
 #: centre.
 _WEIGHTS = {
     "none": None,
     "exp_neg_2s": lambda end: np.exp(-2 * end.s),
-    "exp_neg_2ell": _weight_exp_neg_2ell,
 }
 
 
@@ -283,7 +285,7 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
     ----------
     measure : {"plain", "modified"}
         Sampling law for the increments.
-    weight : {"none", "exp_neg_2s", "exp_neg_2ell"}
+    weight : {"none", "exp_neg_2s"}
         Per-path weight from the endpoint center coordinate.
     observable : str or callable, or a tuple of them
         Key into OBSERVABLES, or a callable f(nu, mu) -> real array

@@ -413,11 +413,12 @@ def analytic_sum_difference(kT):
 
     n + q = 2 e^{-kT} sinh kT and
     n - q = 2 e^{-kT} cosh kT (kT - tanh kT)/(1 + kT), showing the
-    slow cubic growth of the difference variable at early times.
+    slow cubic growth of the difference variable at early times.  In
+    decaying factors, 2 e^{-kT} sinh kT = 1 - e^{-2kT} and so on.
     """
     kT = np.asarray(kT, dtype=float)
-    plus = 2 * np.exp(-kT) * np.sinh(kT)
-    minus = 2 * np.exp(-kT) * np.cosh(kT) * (kT - np.tanh(kT)) / (1 + kT)
+    plus = -np.expm1(-2 * kT)
+    minus = (1 + np.exp(-2 * kT)) * (kT - np.tanh(kT)) / (1 + kT)
     return plus, minus
 
 

@@ -31,10 +31,11 @@ Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
 """
 
+import itertools
 import math
 import threading
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from . import fock, group
 
 __all__ = [
     "WienerPath",
-    "Trajectory",
     "sample_wiener",
     "sample_modified",
     "sample_endpoints",
@@ -112,21 +112,6 @@ class WienerPath:
     @property
     def t_final(self):
         return self.n_steps * self.dt
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Coordinates along a single simulated path.
-
-    `times` has length N+1 (HC chart, starting at the identity) or N
-    (Cartan chart, starting at t = dt where the chart is regular).
-    `hc` and `cartan` are parallel lists of coordinate objects; only the
-    chart that was integrated is populated.
-    """
-
-    times: np.ndarray
-    hc: list | None = None
-    cartan: list | None = None
 
 
 def _rng(seed, stream, block):
@@ -413,75 +398,70 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
 def propagate_sde(path, chart="hc"):
     """Integrate the measurement SDEs along a single path.
 
-    The HC chart iterates the exact one-increment recursion
-    (`group.increment_left_multiply`), keeping the literal |dw|^2 term
-    in the center.  The Cartan chart is seeded at t = dt by transforming
-    the exact one-step HC state (the chart is singular at t = 0) and
-    then advanced with discretely consistent kernels: the singular
-    csch/coth coefficients of the continuum SDEs are replaced by their
+    Returns array-valued coordinates; point k lies at t = r/(2 kappa).
+    The HC chart gives one `HCCoords` of N + 1 points, from the identity
+    through each increment: the exact recursion of
+    `group.increment_left_multiply`, keeping the literal |dw|^2 term in
+    the center, as a scan.  nu runs nu <- rho nu + sqrt(kappa) dw over
+    Python complex numbers, mu and z are cumulative sums, and
+    r = 2 kappa dt k.
+
+    The Cartan chart gives one `CartanCoords` of N points from t = dt,
+    as the chart is singular at t = 0: the transform of the HC scan,
+    whose ell and phi are then replaced by the transform's seed at
+    t = dt plus cumulative sums of discretely consistent kernels.  The
+    singular csch/coth coefficients of the continuum SDEs become their
     exact one-increment counterparts, which agree with the continuum
-    forms to O(dt) at fixed t but stay finite and consistent through the
-    early steps where 2 kappa t is itself O(dt).  A naive Euler scheme
-    with step-start coefficients accumulates an O(1) endpoint error in
-    ell from that region no matter how small dt is.
+    forms to O(dt) at fixed t but stay finite through the early steps
+    where 2 kappa t is itself O(dt); a naive Euler scheme accumulates an
+    O(1) endpoint error in ell there no matter how small dt is.
     """
     dw = np.asarray(path.increments)
     if dw.ndim != 1:
         raise ValueError("propagate_sde integrates one path at a time")
-    kappa, dt = path.kappa, path.dt
-    N = dw.shape[0]
-    if chart == "hc":
-        x = group.HCCoords.identity()
-        states = [x]
-        for k in range(N):
-            x = group.increment_left_multiply(x, dw[k], kappa, dt)
-            states.append(x)
-        return Trajectory(times=dt * np.arange(N + 1), hc=states)
-    if chart != "cartan":
+    if chart not in ("hc", "cartan"):
         raise ValueError(f"unknown chart {chart!r}")
+    kappa, dt = path.kappa, path.dt
+    d = math.exp(-2 * kappa * dt)
+    root = np.sqrt(kappa) * dw
+    r = 2 * kappa * dt * np.arange(len(dw) + 1)
+    nu = np.array(list(itertools.accumulate(
+        root.tolist(), lambda state, c: d * state + c, initial=0j)))
+    mu = np.concatenate(([0j], np.cumsum(np.exp(-r[:-1]) * root)))
+    z = np.concatenate(([0j], np.cumsum(0.5 * kappa * np.abs(dw) ** 2
+                                        + nu[:-1] * np.conj(root))))
+    if chart == "hc":
+        return group.HCCoords(nu=nu, r=r, z=z, mu=mu)
 
-    y = group.hc_to_cartan(group.increment_left_multiply(
-        group.HCCoords.identity(), dw[0], kappa, dt))
-    beta, phi, r, ell, alpha = y.beta, y.phi, y.r, y.ell, y.alpha
-    states = [y]
-    d = np.exp(-2 * kappa * dt)
-    for k in range(1, N):
-        r_next = r + 2 * kappa * dt
-        root = np.sqrt(kappa) * dw[k]
-        u, v = np.exp(-r), np.exp(-r_next)
-        # 1/(2 sinh r) at r and at r_next, in decaying factors.
-        csch_r, csch_next = u / -np.expm1(-2 * r), v / -np.expm1(-2 * r_next)
-        nu = beta - u * alpha
-        mu = alpha - u * beta
-        beta_next, alpha_next = group.coset_pair(r_next, d * nu + root,
-                                                 mu + u * root)
+    y = group.hc_to_cartan(group.HCCoords(nu=nu[1:], r=r[1:], z=z[1:],
+                                          mu=mu[1:]))
+    # Step k = 1 .. N-1 takes the HC point at r_k to the one at r_{k+1}.
+    nu, mu, root = nu[1:-1], mu[1:-1], root[1:]
+    u, v = np.exp(-r[1:-1]), np.exp(-r[2:])
+    # 1/(2 sinh r) at r_k and at r_{k+1}, in decaying factors.
+    csch = np.exp(-r[1:]) / -np.expm1(-2 * r[1:])
+    csch_r, csch_next = csch[:-1], csch[1:]
 
-        # The singular continuum kernels coth/csch(2 kappa t) appear in
-        # the center increments through these discrete counterparts,
-        # written in the phase-plane difference variables p = nu + mu,
-        # m = nu - mu of the equivalent HC point.
-        plus, minus = nu + mu, nu - mu
-        plus_next = plus - (1 - d) * nu
-        minus_next = minus - (1 - d) * nu
-        coth_disc = (u + v) ** 2 / (2 * (1 - v ** 2)) + 1
-        b_noise = ((1 + u) * plus_next / (4 * (1 - v))
-                   + (1 - u) * minus_next / (4 * (1 + v)) + nu / 2)
-        drift = (np.abs(plus_next) ** 2 / (4 * (1 - v))
-                 - np.abs(plus) ** 2 / (4 * (1 - u))
-                 + np.abs(minus_next) ** 2 / (4 * (1 + v))
-                 - np.abs(minus) ** 2 / (4 * (1 + u)))
-        d_ell = -(coth_disc * kappa * np.abs(dw[k]) ** 2 + drift
-                  + 2 * np.real(np.conj(b_noise) * root))
-        d_phi = (np.imag(nu * np.conj(root)) * (1 + d * u * csch_next)
-                 - np.imag(mu * np.conj(root)) * csch_next
-                 - np.imag(np.conj(nu) * mu) * (d * csch_next - csch_r))
-        beta, alpha = beta_next, alpha_next
-        ell = ell + d_ell
-        phi = phi + d_phi
-        r = r_next
-        states.append(group.CartanCoords(beta=beta, phi=phi, r=r, ell=ell,
-                                         alpha=alpha))
-    return Trajectory(times=dt * np.arange(1, N + 1), cartan=states)
+    # The singular continuum kernels coth/csch(2 kappa t) appear in the
+    # center increments through these discrete counterparts, written in
+    # the phase-plane difference variables p = nu + mu, m = nu - mu.
+    plus, minus = nu + mu, nu - mu
+    plus_next = plus - (1 - d) * nu
+    minus_next = minus - (1 - d) * nu
+    coth_disc = (u + v) ** 2 / (2 * (1 - v ** 2)) + 1
+    b_noise = ((1 + u) * plus_next / (4 * (1 - v))
+               + (1 - u) * minus_next / (4 * (1 + v)) + nu / 2)
+    drift = (np.abs(plus_next) ** 2 / (4 * (1 - v))
+             - np.abs(plus) ** 2 / (4 * (1 - u))
+             + np.abs(minus_next) ** 2 / (4 * (1 + v))
+             - np.abs(minus) ** 2 / (4 * (1 + u)))
+    d_ell = -(coth_disc * kappa * np.abs(dw[1:]) ** 2 + drift
+              + 2 * np.real(np.conj(b_noise) * root))
+    d_phi = (np.imag(nu * np.conj(root)) * (1 + d * u * csch_next)
+             - np.imag(mu * np.conj(root)) * csch_next
+             - np.imag(np.conj(nu) * mu) * (d * csch_next - csch_r))
+    return replace(y, ell=np.cumsum(np.concatenate((y.ell[:1], d_ell))),
+                   phi=np.cumsum(np.concatenate((y.phi[:1], d_phi))))
 
 
 def _block_weights(rho, n):

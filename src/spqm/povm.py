@@ -90,14 +90,15 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     truncation: their top dim/2 block is the element represented at
     dim/2, which is all that is built.  Their HC center carries exactly
     e^{-u}; setting ell = -u adds u to z, which leaves that factor to
-    the Gauss-Laguerre weight.  D(r e^{i th}) = e^{i th n} D(r)
-    e^{-i th n}, so the angular mean keeps the entries (m, n) with
-    m - n = 0 mod angular_nodes.  That aliases entries with
-    |m - n| = angular_nodes into the reported block once
-    dim // 2 > angular_nodes (the default 64 nodes serve dim <= 129),
-    so such input raises ValueError; below that the mean keeps only
-    the diagonal of the block, and the deviation is the largest
-    |diagonal - 1|.
+    the Gauss-Laguerre weight; the prefactor 2 sinh(2kT) / c is exactly
+    e^{2kT}, which ell = -u - 2kT carries too, so nothing overflows at
+    large kT.  D(r e^{i th}) = e^{i th n} D(r) e^{-i th n}, so the
+    angular mean keeps the entries (m, n) with m - n = 0 mod
+    angular_nodes.  That aliases entries with |m - n| = angular_nodes
+    into the reported block once dim // 2 > angular_nodes (the default
+    64 nodes serve dim <= 129), so such input raises ValueError; below
+    that the mean keeps only the diagonal of the block, and the
+    deviation is the largest |diagonal - 1|.
     """
     if kT <= 0:
         raise ValueError("need kT > 0")
@@ -111,10 +112,11 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     nodes, weights = np.polynomial.laguerre.laggauss(radial_nodes)
     alpha = np.sqrt(nodes / c)
     elements = group.represent(group.CartanCoords(
-        beta=alpha, phi=0.0, r=4 * kT, ell=-nodes, alpha=alpha), dim // 2)
+        beta=alpha, phi=0.0, r=4 * kT, ell=-nodes - 2 * kT, alpha=alpha),
+        dim // 2)
     diagonals = np.diagonal(elements, axis1=-2, axis2=-1).copy()
     total = np.tensordot(weights, diagonals, axes=1)
-    return np.max(np.abs(total * (2 * np.sinh(2 * kT) / c) - 1), initial=0.0)
+    return np.max(np.abs(total - 1), initial=0.0)
 
 
 def channel_superoperator(kT, dim):

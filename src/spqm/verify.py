@@ -107,13 +107,16 @@ def check_cross_chart():
     worst = 0.0
     for seed in (11, 12, 13):
         path = paths.sample_wiener(N, dt, 1.0, seed=seed)
-        hc_end = paths.propagate_sde(path, chart="hc").hc[-1]
+        hc = paths.propagate_sde(path, chart="hc")
+        hc_end = group.HCCoords(nu=hc.nu[-1], r=hc.r[-1], z=hc.z[-1],
+                                mu=hc.mu[-1])
         ref = group.hc_to_cartan(hc_end)
-        got = paths.propagate_sde(path, chart="cartan").cartan[-1]
+        cartan = paths.propagate_sde(path, chart="cartan")
         f, _ = group.gauge_functions(hc_end)
-        errs = [abs(got.beta - ref.beta), abs(got.alpha - ref.alpha),
-                abs(got.ell - ref.ell), abs(got.phi - ref.phi),
-                abs(got.ell - (hc_end.s - f))]
+        errs = [abs(cartan.beta[-1] - ref.beta),
+                abs(cartan.alpha[-1] - ref.alpha),
+                abs(cartan.ell[-1] - ref.ell), abs(cartan.phi[-1] - ref.phi),
+                abs(cartan.ell[-1] - (hc_end.s - f))]
         worst = max(worst, max(errs))
     return worst <= tol, f"worst endpoint error {worst:.2e} (tol {tol:.0e})"
 

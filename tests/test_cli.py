@@ -135,6 +135,15 @@ def test_povm_report(tmp_path):
     assert float(values["completeness_deviation"]) <= 1e-3
 
 
+def test_povm_completeness_finite_at_large_kt(tmp_path):
+    out = tmp_path / "povm.csv"
+    assert cli.main(["povm", "--t-final", "400", "--dim", "8",
+                     "--out", str(out)]) == 0
+    _, rows = _read_output(out)
+    values = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert float(values["completeness_deviation"]) <= 1e-12
+
+
 def test_povm_library_error_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["povm", "--dim", "1"])

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["povm_channel.py", "trajectories.py",
-                                  "moment_kernel.py"])
+                                  "moment_kernel.py",
+                                  "reduced_distributions.py"])
 def test_demo_runs(demo):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

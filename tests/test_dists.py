@@ -38,6 +38,26 @@ def test_normalization_factor_refuses_non_finite(kT):
             dists.normalization_factor(kT)
 
 
+@pytest.mark.parametrize("kT", [1e-3, 1.0, 50.0, 400.0, 800.0, 2000.0])
+def test_densities_finite_at_every_kt(kT):
+    # Decaying factors only: no overflow warning past kT ~ 355 and no
+    # NaN (inf/inf, 0 * inf) past ~710.
+    point = dists.ReducedPoint.from_hc(2 * kT, 0.6 - 0.3j, -0.4 + 0.5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [dists.density_cartan_reduced(point, kT),
+                  dists.density_hc_reduced(point, kT, variables="hc"),
+                  dists.density_hc_reduced(point, kT, variables="cartan")]
+        plus, minus = moments.analytic_sum_difference(kT)
+    for value in values:
+        assert np.isfinite(value.prefactor) and value.prefactor >= 0
+        assert np.isfinite(value.gaussian_exponent)
+        assert value.gaussian_exponent <= 0
+    assert values[1].gaussian_exponent == pytest.approx(
+        values[2].gaussian_exponent, rel=1e-9)
+    assert np.isfinite(plus) and np.isfinite(minus) and 0 < minus < plus <= 1
+
+
 def test_reduced_point_charts_agree():
     point = dists.ReducedPoint(r=1.4, beta=0.3 - 0.2j, alpha=0.1 + 0.5j)
     back = dists.ReducedPoint.from_hc(point.r, point.nu, point.mu)
@@ -191,11 +211,11 @@ def test_feynman_kac_ess_collapse_warns():
 
 
 def test_feynman_kac_weight_overflow_is_typed():
-    # kappa T = 800: e^{-2 ell} overflows on every path.  (The weight
-    # e^{-2s} is refused there before drawing; see below.)
+    # kappa T = 270 under the modified measure, which has no tilt guard:
+    # s is about -1e6 to -1e7, so e^{-2s} overflows on every path.
     with pytest.raises(fock.NumericalDomainError, match="overflowed"):
-        dists.feynman_kac_estimate("plain", "exp_neg_2ell", "one", 50, 8000,
-                                   0.1, 1.0, 0)
+        dists.feynman_kac_estimate("modified", "exp_neg_2s", "one", 4, 27000,
+                                   0.01, 1.0, 0)
 
 
 class _Drawn(Exception):
@@ -234,7 +254,7 @@ def test_feynman_kac_tilt_regime_admits(monkeypatch, N, dt):
 
 
 @pytest.mark.parametrize("measure, weight", [
-    ("plain", "none"), ("plain", "exp_neg_2ell"), ("modified", "exp_neg_2s")])
+    ("plain", "none"), ("modified", "exp_neg_2s")])
 def test_feynman_kac_tilt_guard_is_plain_exp_neg_2s_only(monkeypatch,
                                                          measure, weight):
     monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
@@ -384,6 +404,7 @@ def test_feynman_kac_several_observables_from_one_draw(monkeypatch, measure,
 @pytest.mark.parametrize("measure, weight, observable", [
     ("uniform", "none", "one"),
     ("plain", "exp_neg_2x", "one"),
+    ("plain", "exp_neg_2ell", "one"),  # removed: its mean is infinite
     ("modified", "none", "nu_abs3"),
 ])
 def test_feynman_kac_validates_before_drawing(monkeypatch, measure, weight,

@@ -100,29 +100,108 @@ def test_sample_modified_endpoint_moment():
     assert abs(n_est - m_est) <= 3 * se
 
 
+def _point(coords, k):
+    """Point k (an index or a slice) of array-valued coordinates."""
+    return type(coords)(**{name: value[k]
+                           for name, value in vars(coords).items()})
+
+
 def test_propagate_hc_zero_noise():
     path = paths.WienerPath(dt=1e-2, kappa=1.0, increments=np.zeros(50, complex))
-    end = paths.propagate_sde(path, chart="hc").hc[-1]
+    end = _point(paths.propagate_sde(path, chart="hc"), -1)
     assert end.nu == 0 and end.mu == 0 and end.z == 0
     assert abs(end.r - 1.0) <= 1e-12
 
 
 def test_propagate_trajectory_shapes():
-    path = paths.sample_wiener(10, 1e-3, 1.0, seed=4)
+    # One array-valued point per chart: N + 1 HC points from the
+    # identity, N Cartan points from t = dt; point k's time is r/(2 kappa).
+    path = paths.sample_wiener(10, 1e-3, 2.0, seed=4)
     hc = paths.propagate_sde(path, chart="hc")
-    assert len(hc.hc) == 11 and hc.times[0] == 0.0
+    assert isinstance(hc, group.HCCoords)
+    for name in ("nu", "r", "z", "mu"):
+        assert np.shape(getattr(hc, name)) == (11,)
+    assert np.array_equal(hc.r / (2 * 2.0), 1e-3 * np.arange(11))
     cartan = paths.propagate_sde(path, chart="cartan")
-    assert len(cartan.cartan) == 10 and cartan.times[0] == 1e-3
-    rs = [y.r for y in cartan.cartan]
-    assert np.allclose(np.diff(rs), 2e-3)
+    assert isinstance(cartan, group.CartanCoords)
+    for name in ("beta", "phi", "r", "ell", "alpha"):
+        assert np.shape(getattr(cartan, name)) == (10,)
+    assert np.array_equal(cartan.r, hc.r[1:])
+    with pytest.raises(ValueError, match="chart"):
+        paths.propagate_sde(path, chart="polar")
+    with pytest.raises(ValueError, match="one path"):
+        paths.propagate_sde(paths.sample_wiener(10, 1e-3, 2.0, 4, n_paths=2))
+
+
+@pytest.mark.parametrize("N, dt, kappa", [
+    (1, 1e-3, 1.0), (300, 1e-3, 1.5), (2000, 0.1, 1.0)])  # kappa T up to 200
+def test_propagate_hc_equals_recursion_at_every_step(N, dt, kappa):
+    path = paths.sample_wiener(N, dt, kappa, seed=N)
+    got = paths.propagate_sde(path, chart="hc")
+    x = group.HCCoords.identity()
+    for k in range(N + 1):
+        if k:
+            x = group.increment_left_multiply(x, path.increments[k - 1],
+                                              kappa, dt)
+        for name in ("nu", "r", "z", "mu"):
+            want = getattr(x, name)
+            assert abs(getattr(got, name)[k] - want) <= 1e-12 * abs(want)
+
+
+def _cartan_loop_oracle(path):
+    """Reference: the Cartan chart stepped one increment at a time, each
+    step recovering the HC pair from (beta, alpha) and advancing ell and
+    phi by the discrete kernels of `propagate_sde`."""
+    dw, kappa, dt = path.increments, path.kappa, path.dt
+    y = group.hc_to_cartan(group.increment_left_multiply(
+        group.HCCoords.identity(), dw[0], kappa, dt))
+    beta, phi, r, ell, alpha = y.beta, y.phi, y.r, y.ell, y.alpha
+    states = [[beta, phi, r, ell, alpha]]
+    d = np.exp(-2 * kappa * dt)
+    for k in range(1, len(dw)):
+        r_next = r + 2 * kappa * dt
+        root = np.sqrt(kappa) * dw[k]
+        u, v = np.exp(-r), np.exp(-r_next)
+        csch_r, csch_next = u / -np.expm1(-2 * r), v / -np.expm1(-2 * r_next)
+        nu, mu = beta - u * alpha, alpha - u * beta
+        beta, alpha = group.coset_pair(r_next, d * nu + root, mu + u * root)
+        plus, minus = nu + mu, nu - mu
+        plus_next, minus_next = plus - (1 - d) * nu, minus - (1 - d) * nu
+        coth_disc = (u + v) ** 2 / (2 * (1 - v ** 2)) + 1
+        b_noise = ((1 + u) * plus_next / (4 * (1 - v))
+                   + (1 - u) * minus_next / (4 * (1 + v)) + nu / 2)
+        drift = (np.abs(plus_next) ** 2 / (4 * (1 - v))
+                 - np.abs(plus) ** 2 / (4 * (1 - u))
+                 + np.abs(minus_next) ** 2 / (4 * (1 + v))
+                 - np.abs(minus) ** 2 / (4 * (1 + u)))
+        ell = ell - (coth_disc * kappa * np.abs(dw[k]) ** 2 + drift
+                     + 2 * np.real(np.conj(b_noise) * root))
+        phi = phi + (np.imag(nu * np.conj(root)) * (1 + d * u * csch_next)
+                     - np.imag(mu * np.conj(root)) * csch_next
+                     - np.imag(np.conj(nu) * mu) * (d * csch_next - csch_r))
+        r = r_next
+        states.append([beta, phi, r, ell, alpha])
+    return np.array(states).T
+
+
+@pytest.mark.parametrize("N, dt", [(1, 1e-3), (2, 1e-2), (1000, 1e-3),
+                                   (4000, 0.1)])  # kappa T up to 400
+def test_propagate_cartan_equals_step_loop(N, dt):
+    path = paths.sample_wiener(N, dt, 1.0, seed=N)
+    got = paths.propagate_sde(path, chart="cartan")
+    want = _cartan_loop_oracle(path)
+    for name, row in zip(("beta", "phi", "r", "ell", "alpha"), want):
+        # Relative, but absolute below 1: phi is 0 after one step.
+        err = np.max(np.abs(getattr(got, name) - row))
+        assert err <= 1e-12 * max(np.max(np.abs(row)), 1.0), name
 
 
 def test_cross_chart_endpoint():
     dt, N = 1e-3, 500
     path = paths.sample_wiener(N, dt, 1.0, seed=21)
-    hc_end = paths.propagate_sde(path, chart="hc").hc[-1]
+    hc_end = _point(paths.propagate_sde(path, chart="hc"), -1)
     ref = group.hc_to_cartan(hc_end)
-    got = paths.propagate_sde(path, chart="cartan").cartan[-1]
+    got = _point(paths.propagate_sde(path, chart="cartan"), -1)
     f, _ = group.gauge_functions(hc_end)
     tol = 10 * dt
     assert abs(got.beta - ref.beta) <= tol
@@ -138,7 +217,7 @@ def test_cross_chart_endpoint_at_long_times(N):
     # on the transformed HC endpoint where e^r overflows.
     path = paths.sample_wiener(N, 0.1, 1.0, seed=3)
     ref = group.hc_to_cartan(paths.closed_form_hc(path))
-    got = paths.propagate_sde(path, chart="cartan").cartan[-1]
+    got = _point(paths.propagate_sde(path, chart="cartan"), -1)
     assert np.all(np.isfinite(group.cartan_vector(got)))
     assert np.max(np.abs(group.cartan_vector(got) - group.cartan_vector(ref))
                   ) <= 1e-12 * np.max(np.abs(group.cartan_vector(ref)))
@@ -159,7 +238,7 @@ def test_closed_form_equals_recursion():
     for p in range(0, 100, 17):
         single = paths.WienerPath(dt=1e-3, kappa=1.0,
                                   increments=batch.increments[p])
-        end = paths.propagate_sde(single, chart="hc").hc[-1]
+        end = _recursion_endpoint(single)
         assert abs(end.nu - closed.nu[p]) <= 1e-10
         assert abs(end.mu - closed.mu[p]) <= 1e-10
         assert abs(end.z - closed.z[p]) <= 1e-10
@@ -739,16 +818,15 @@ def test_pfaffian_per_step_combinations():
     # residual is exactly the -k|dw|^2/2 center term.
     dt, kappa, N = 1e-3, 1.0, 1000
     path = paths.sample_wiener(N, dt, kappa, seed=42)
-    traj = paths.propagate_sde(path, chart="hc")
-    cartan = [group.hc_to_cartan(x) for x in traj.hc[1:]]
-    for k in range(1, N):
-        a, b = cartan[k - 1], cartan[k]
-        assert abs((b.beta - a.beta) - np.cosh(a.r) * (b.alpha - a.alpha)) <= dt
-    for k in range(1, N + 1):
-        a, b = traj.hc[k - 1], traj.hc[k]
-        combo = ((b.s - a.s)
-                 + 0.5 * np.exp(a.r) * 2 * np.real(np.conj(a.nu) * (b.mu - a.mu)))
-        assert abs(combo + 0.5 * kappa * np.abs(path.increments[k - 1]) ** 2) <= dt ** 1.5
+    x = paths.propagate_sde(path, chart="hc")
+    y = group.hc_to_cartan(_point(x, slice(1, None)))
+    pair = np.diff(y.beta) - np.cosh(y.r[:-1]) * np.diff(y.alpha)
+    assert np.max(np.abs(pair)) <= dt
+    combo = (np.diff(x.s)
+             + 0.5 * np.exp(x.r[:-1]) * 2 * np.real(np.conj(x.nu[:-1])
+                                                   * np.diff(x.mu)))
+    assert np.max(np.abs(combo + 0.5 * kappa * np.abs(path.increments) ** 2)
+                  ) <= dt ** 1.5
 
 
 def _kraus_dense_oracle(path, dim):

@@ -59,6 +59,16 @@ def test_completeness_smallest_blocks(dim):
     assert np.isfinite(dev) and dev <= 1e-12
 
 
+@pytest.mark.parametrize("kT", [400.0, 2000.0])
+def test_completeness_finite_at_large_kt(kT):
+    # 2 sinh 2kT overflows past kT ~ 355; the prefactor e^{2kT} rides
+    # in the elements' centre, so the deviation stays at its floor.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dev = povm.completeness_quadrature(kT, 8)
+    assert np.isfinite(dev) and dev <= 1e-12
+
+
 def test_completeness_identity():
     dev = povm.completeness_quadrature(1.0, 16)
     assert dev <= 1e-3
