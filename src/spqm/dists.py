@@ -3,12 +3,11 @@
 At time T the distribution over reduced group elements (cosets that
 forget the central phase and normalization) is ballistic in the ruler,
 r = 2 kappa T exactly, and Gaussian in the phase-plane coordinates.
-Three closely related densities appear:
+Two closely related densities appear:
 
 * C : the Cartan-natural form, a Gaussian in beta - alpha alone;
 * B : the HC-natural unnormalized form, Gaussian in the sum and
-  difference variables separately;
-* tilde-B = B / N : B normalized by N(kT) = e^{2kT}/(1 + kT).
+  difference variables separately.
 
 C and B differ by the positive gauge factor e^{2f}.  The delta factor
 in the ruler is handled structurally: densities are evaluated on shell
@@ -84,13 +83,10 @@ class ReducedPoint:
 @dataclass(frozen=True)
 class DensityValue:
     """A reduced density value prefactor * exp(exponent), delta factored out.
-
-    `radial` records the structural delta in the ruler.
     """
 
     prefactor: float
     gaussian_exponent: float
-    radial: str
 
     @property
     def value(self):
@@ -120,10 +116,7 @@ def sigma_width(kT):
 
     Grows as (kT)^3/3 at early times and linearly at late times.
     """
-    kT = np.asarray(kT)
-    if not np.issubdtype(kT.dtype, np.floating):
-        kT = kT.astype(float)
-    out = kT - np.tanh(kT)
+    out = moments._kt_minus_tanh(kT)
     return out[()] if out.ndim == 0 else out
 
 
@@ -157,10 +150,6 @@ def _check_on_shell(point, kT):
             f"point has r = {point.r}, off the shell r = 2kT = {2 * kT}")
 
 
-def _shell_tag(kT):
-    return f"delta(r - {2 * kT})"
-
-
 def _prefactor(kT, sigma):
     """2/(sinh(2kT) Sigma) = 4 e^{-2kT}/((1 - e^{-4kT}) Sigma), finite."""
     return 4 * np.exp(-2 * kT) / (-np.expm1(-4 * kT) * sigma)
@@ -176,12 +165,11 @@ def density_cartan_reduced(point, kT):
     sigma = sigma_width(kT)
     prefactor = _prefactor(kT, sigma)
     exponent = -np.abs(point.beta - point.alpha) ** 2 / sigma
-    return DensityValue(prefactor=prefactor, gaussian_exponent=exponent,
-                        radial=_shell_tag(kT))
+    return DensityValue(prefactor=prefactor, gaussian_exponent=exponent)
 
 
-def density_hc_reduced(point, kT, normalized=False, variables="hc"):
-    """On-shell HC-form reduced density B (or tilde-B if `normalized`).
+def density_hc_reduced(point, kT, variables="hc"):
+    """On-shell HC-form reduced density B.
 
     The exponent splits over the uncorrelated sum and difference
     variables.  Both variable forms are implemented and agree on the
@@ -209,10 +197,7 @@ def density_hc_reduced(point, kT, normalized=False, variables="hc"):
         exponent = -(plus * odd / 2 + minus * even * (1 + kT) / (2 * sigma))
     else:
         raise ValueError(f"unknown variable form {variables!r}")
-    if normalized:
-        prefactor = prefactor / normalization_factor(kT)
-    return DensityValue(prefactor=prefactor, gaussian_exponent=exponent,
-                        radial=_shell_tag(kT))
+    return DensityValue(prefactor=prefactor, gaussian_exponent=exponent)
 
 
 def gauge_relation_residual(point, kT):
@@ -248,15 +233,6 @@ OBSERVABLES = {
     "mu_abs2": lambda nu, mu: np.abs(mu) ** 2,
     "numu_real": lambda nu, mu: np.real(np.conj(nu) * mu),
     "cross_pm_real": lambda nu, mu: np.real(np.conj(nu + mu) * (nu - mu)),
-}
-
-
-#: Per-path weights of `feynman_kac_estimate`, from the HC endpoint;
-#: None for the unweighted estimate, which never forms the endpoint's
-#: centre.
-_WEIGHTS = {
-    "none": None,
-    "exp_neg_2s": lambda end: np.exp(-2 * end.s),
 }
 
 
@@ -297,7 +273,7 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         block b of `paths._PATH_BLOCK` paths has its own generator,
         seeded from (seed, j, b), so the result depends on the chunking
         as well as on the seed, but not on which thread drew which
-        block.  With a weight each chunk goes through
+        block.  All chunks are one schedule; with a weight they go through
         `paths.sample_endpoints`; with weight "none" only the linear
         sums (nu, mu) are needed, and each block of white records is
         projected onto their loads (`paths._phase_sums`) without
@@ -307,7 +283,8 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         agree to rounding.  The records take O(`paths._PANEL_ROWS` N)
         memory with weight "none", which draws them in panels, and
         O(`paths._PATH_BLOCK` N) with a weight, which reduces whole
-        blocks; the endpoints take O(`chunk`).
+        blocks; the endpoints of all paths take 48 B per path with a
+        weight and 32 B without, besides the 16 B per path of w and f.
 
     Returns
     -------
@@ -320,9 +297,10 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
         one that a call with that observable alone returns.
 
     Raises ValueError, before drawing anything, for an unknown measure,
-    weight or observable name; `moments.RegimeError`, also before
-    drawing, for weight "exp_neg_2s" under the plain measure where its
-    tilt W is not positive definite (`moments.tilted_pivots`), so that
+    weight or observable name, and for a weight under the modified
+    measure, where no tilt guard bounds its mean; `moments.RegimeError`,
+    also before drawing, for weight "exp_neg_2s" where its tilt W is
+    not positive definite (`moments.tilted_pivots`), so that
     E[e^{-2s}] is infinite and no sample mean means anything; and
     `fock.NumericalDomainError` when a path weight overflows.  Warns,
     also before drawing, where that weight's mean is finite but its
@@ -330,12 +308,12 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
     means nothing; and after drawing when the effective sample size
     collapses below 100.
     """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
     if measure not in ("plain", "modified"):
         raise ValueError(f"unknown measure {measure!r}")
-    if weight not in _WEIGHTS:
+    if weight not in ("none", "exp_neg_2s"):
         raise ValueError(f"unknown weight {weight!r}")
+    if measure == "modified" and weight != "none":
+        raise ValueError(f"weight {weight!r} is for the plain measure only")
     several = isinstance(observable, tuple)
     observables = observable if several else (observable,)
     if not observables:
@@ -345,43 +323,32 @@ def feynman_kac_estimate(measure, weight, observable, n_paths, N, dt, kappa,
             raise ValueError(f"unknown observable {obs!r}")
     funcs = [OBSERVABLES[obs] if isinstance(obs, str) else obs
              for obs in observables]
-    weigh = _WEIGHTS[weight]
-    if measure == "plain" and weight == "exp_neg_2s":
+    if weight == "none":
+        nu, mu = paths._phase_sums(measure, N, dt, kappa, seed, n_paths,
+                                   chunk=chunk)
+        w = np.ones(n_paths)
+    else:
         moments.tilted_pivots(N, dt, kappa)
         if not _variance_finite(N, dt, kappa):
             warnings.warn(
                 f"e^(-2s) has infinite variance at N = {N}, kappa*T = "
                 f"{kappa * N * dt:.3g}; the standard error is meaningless",
                 stacklevel=2)
-
-    w_parts, f_parts = [], [[] for _ in funcs]
-    for stream, start in enumerate(range(0, n_paths, chunk)):
-        size = min(chunk, n_paths - start)
-        if weigh is None:
-            nu, mu = paths._phase_sums(measure, N, dt, kappa, seed, size,
-                                       stream=stream)
-            w_parts.append(np.ones(size))
-        else:
-            end = paths.sample_endpoints(measure, N, dt, kappa, seed, size,
-                                         stream=stream)
-            with np.errstate(over="ignore"):  # overflow raises below
-                w_parts.append(weigh(end))
-            nu, mu = end.nu, end.mu
-        for parts, func in zip(f_parts, funcs):
-            parts.append(np.asarray(func(nu, mu), dtype=float))
-
-    w = np.concatenate(w_parts)
-    if not np.all(np.isfinite(w)):
-        raise fock.NumericalDomainError(
-            "path weights overflowed; reduce kappa*T")
+        end = paths.sample_endpoints(N, dt, kappa, seed, n_paths, chunk=chunk)
+        with np.errstate(over="ignore"):  # overflow raises below
+            w = np.exp(-2 * end.s)
+        nu, mu = end.nu, end.mu
+        if not np.all(np.isfinite(w)):
+            raise fock.NumericalDomainError(
+                "path weights overflowed; reduce kappa*T")
     ess = w.sum() / w.max()
     kish_ess = w.sum() ** 2 / (w @ w)
     if ess < 100:
         warnings.warn(f"effective sample size collapsed to {ess:.1f}; "
                       "the weighted estimate is unreliable", stacklevel=2)
     estimates = []
-    for parts in f_parts:
-        wf = w * np.concatenate(parts)
+    for func in funcs:
+        wf = w * np.asarray(func(nu, mu), dtype=float)
         mean = wf.mean()
         stderr = wf.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.inf
         estimates.append(FKEstimate(mean=mean, stderr=stderr, ess=ess,

@@ -63,6 +63,10 @@ __all__ = [
 #: Steps per block of the blocked factor that `Kernel.correlate` applies.
 _BLOCK = 32
 
+#: Series of (kT - tanh kT)/kT^3 in kT^2, which `_kt_minus_tanh` sums.
+_SERIES = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925,
+           -21844 / 6081075, 929569 / 638512875)
+
 
 class RegimeError(ValueError):
     """Kernel parameters outside the positive-definite working regime."""
@@ -398,11 +402,27 @@ def riccati_integrate(kappa, T, steps):
     return times, out[:, 0], out[:, 1], out[:, 2]
 
 
+def _kt_minus_tanh(kT):
+    """kT - tanh kT as an array, by its series `_SERIES` below |kT| = 0.035.
+
+    The difference there would lose log10(3 / kT^2) digits, all of them
+    by kT ~ 1e-8; the series' first omitted term is below 1e-23 of its sum.
+    Floating input keeps its precision, long double included.
+    """
+    kT = np.asarray(kT)
+    if not np.issubdtype(kT.dtype, np.floating):
+        kT = kT.astype(float)
+    near = np.abs(kT) < 0.035
+    small = np.where(near, kT, 0)  # no overflow in the unused branch
+    series = small ** 3 * np.polynomial.polynomial.polyval(small ** 2, _SERIES)
+    return np.where(near, series, kT - np.tanh(kT))
+
+
 def analytic_moments(kT):
     """Closed-form moments n = m = kT/(1+kT), q = 1/(1+kT) - e^{-2kT}."""
     kT = np.asarray(kT, dtype=float)
     n = kT / (1 + kT)
-    q = 1 / (1 + kT) - np.exp(-2 * kT)
+    q = n - analytic_sum_difference(kT)[1]  # n - q >= 0, no cancellation
     if kT.ndim == 0:
         return MomentTriple(float(n), float(n), float(q))
     return MomentTriple(n, n.copy(), q)
@@ -418,7 +438,7 @@ def analytic_sum_difference(kT):
     """
     kT = np.asarray(kT, dtype=float)
     plus = -np.expm1(-2 * kT)
-    minus = (1 + np.exp(-2 * kT)) * (kT - np.tanh(kT)) / (1 + kT)
+    minus = (1 + np.exp(-2 * kT)) * _kt_minus_tanh(kT) / (1 + kT)
     return plus, minus
 
 

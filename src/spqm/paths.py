@@ -11,7 +11,7 @@ Inside the samplers a block of records is a real array of rows, each
 path's real row followed by its imaginary row, as the generator draws
 them; complex increments are formed only for the caller.  One block
 loop serves four uses: the record samplers store the blocks, the
-endpoint sampler reduces them to (nu, z, mu), the unweighted
+plain endpoint sampler reduces them to (nu, z, mu), the unweighted
 Feynman-Kac estimate of `dists` projects them onto the linear sums
 (nu, mu) alone, skipping the quadratic centre z, and the channel Monte
 Carlo of `povm` reduces, represents and sums them in one schedule over
@@ -196,15 +196,27 @@ def _run_blocks(count, task):
         job.result()
 
 
+def _chunks(n_paths, chunk):
+    """(j, paths of chunk j) for `n_paths` records in chunks of `chunk`.
+
+    Chunk j is drawn from substream j of the seed; None is one chunk.
+    """
+    chunk = n_paths if chunk is None else chunk
+    if chunk < 1:
+        raise ValueError("need at least one path per chunk")
+    return [(j, min(chunk, n_paths - first))
+            for j, first in enumerate(range(0, n_paths, chunk))]
+
+
 def _each_block(kernel, N, seed, streams, step, *args, panel=2 * _PATH_BLOCK):
     """Call step(rows, start, *args) on each panel of the records of `streams`.
 
     `streams` lists (stream, n_paths) pairs; the records are those of
     each stream in turn, so start counts the paths of the earlier
     streams too.  `step` is `_store_rows` (the record samplers),
-    `_reduce_rows` (`sample_endpoints`) or `_project_rows`
-    (`_phase_sums`), each over one stream, or `povm._channel_rows`
-    (`povm.channel_monte_carlo`, one stream per chunk of records).
+    `_reduce_rows` (`sample_endpoints`), `_project_rows`
+    (`_phase_sums`) or `povm._channel_rows` (`povm.channel_monte_carlo`),
+    the last three with one stream per chunk of records (`_chunks`).
     Block b of a stream holds its paths from b `_PATH_BLOCK` on, at
     most `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from
     its own generator `_rng(seed, stream, b)`: path p's real row 2p and
@@ -213,9 +225,9 @@ def _each_block(kernel, N, seed, streams, step, *args, panel=2 * _PATH_BLOCK):
     after another from the block's generator, so the rows are those of
     one draw of the whole block.  With `kernel` given each panel is
     correlated in place by `kernel.correlate` (modified measure) before
-    `step` sees it; its callers pass whole blocks, as the correlation
-    makes one blocked pass along the record per call, and `_phase_sums`
-    passes None under either measure.  The blocks of all streams are
+    `step` sees it; only `_draw` passes one, with whole blocks, as the
+    correlation makes one blocked pass along the record per call.  The
+    blocks of all streams are
     shared by the two threads of one `_run_blocks` schedule, and each
     thread draws the blocks it claims into its own row buffer of one
     panel; each block has its own generator and `step` writes it to
@@ -320,24 +332,24 @@ def sample_modified(N, dt, kappa, seed, n_paths=None, stream=0):
     return WienerPath(dt=dt, kappa=kappa, increments=dw)
 
 
-def sample_endpoints(measure, N, dt, kappa, seed, n_paths, stream=0):
-    """HC endpoints of `n_paths` records, without holding the records.
+def sample_endpoints(N, dt, kappa, seed, n_paths, chunk=None):
+    """Plain-measure HC endpoints of `n_paths` records, without the records.
 
-    Returns what `closed_form_hc` gives for `sample_wiener` (measure
-    "plain") or `sample_modified` (measure "modified") called with the
-    same arguments.  The blocks of records are drawn and correlated as
-    in those samplers, on the same two threads (`_each_block`), and
+    Returns, in chunk order, what `closed_form_hc` gives for
+    `sample_wiener` with the n_paths and stream of each chunk
+    (`_chunks`).  The blocks of all chunks are drawn as there, in one
+    schedule of the same two threads (`_each_block`), and
     each is scaled and reduced (`_row_sums`) into its fixed slot of the
     result, so the endpoints do not depend on the schedule either.
     Callers that need only nu and mu take `_phase_sums`, which draws
     the same blocks and skips the centre sum.
     Memory is O(`_PATH_BLOCK` N) for the two whole-block row buffers,
     as `_row_sums` makes one blocked pass along the record per call,
-    plus the endpoints.
+    plus the endpoints, 48 B per path.
     """
-    kernel = _measure_kernel(measure, N, dt, kappa, n_paths)
+    _measure_kernel("plain", N, dt, kappa, n_paths)
     ends = np.empty((3, n_paths), dtype=complex)
-    _each_block(kernel, N, seed, [(stream, n_paths)], _reduce_rows, ends,
+    _each_block(None, N, seed, _chunks(n_paths, chunk), _reduce_rows, ends,
                 kappa, dt)
     nu, z, mu = ends
     return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
@@ -363,9 +375,11 @@ def _measure_kernel(measure, N, dt, kappa, n_paths):
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
+def _phase_sums(measure, N, dt, kappa, seed, n_paths, chunk=None):
     """The (nu, mu) of `sample_endpoints` with the same arguments, no z.
 
+    Under the modified measure those of the same chunks of
+    `sample_modified` records, all in one schedule, 32 B per path.
     nu and mu are linear in the record, so each panel of
     `_PANEL_ROWS` white rows, drawn as there, is projected onto (N, 2)
     loads (`_project_rows`), the sampler's scale sqrt(dt/2) folded in;
@@ -389,7 +403,7 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, stream=0):
         loads = kernel._whitened_loads()
     loads = np.sqrt(kappa * dt / 2) * loads
     sums = np.empty((2 * n_paths, 2))
-    _each_block(None, N, seed, [(stream, n_paths)], _project_rows, sums,
+    _each_block(None, N, seed, _chunks(n_paths, chunk), _project_rows, sums,
                 loads, panel=_PANEL_ROWS)
     return (sums[0::2, 0] + 1j * sums[1::2, 0],
             sums[0::2, 1] + 1j * sums[1::2, 1])

@@ -234,11 +234,9 @@ def _channel_sums(factor, N, dt, dim, seed, n_paths):
     `CHANNEL_CHUNK` paths, and each block is summed on the thread that
     drew it (`_channel_rows`).  The block sums are added in block order.
     """
-    streams = [(j, min(CHANNEL_CHUNK, n_paths - start))
-               for j, start in enumerate(range(0, n_paths, CHANNEL_CHUNK))]
     sums, traces = {}, np.empty(n_paths)
-    paths._each_block(None, N, seed, streams, _channel_rows, dt, 2 * dt * N,
-                      dim, factor, sums, traces)
+    paths._each_block(None, N, seed, paths._chunks(n_paths, CHANNEL_CHUNK),
+                      _channel_rows, dt, 2 * dt * N, dim, factor, sums, traces)
     total = np.zeros((dim, dim), dtype=complex)
     for start in sorted(sums):
         total += sums[start]

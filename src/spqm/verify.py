@@ -101,23 +101,24 @@ def check_recursion_vs_sums():
 
 
 def check_cross_chart():
-    """Cartan-integrated SDE matches the transformed HC trajectory."""
+    """Cartan-integrated SDE matches the transformed HC trajectory.
+
+    It compares ell and phi alone, which the Cartan chart integrates
+    by kernels of its own: its beta and alpha are the transform of the
+    HC scan, equal by construction (`test_propagate_cartan_equals_step_loop`
+    checks them at every step), and the transform's ell is s - f.
+    """
     dt, N = 1e-3, 2000  # kT = 2
     tol = 10 * dt
     worst = 0.0
     for seed in (11, 12, 13):
         path = paths.sample_wiener(N, dt, 1.0, seed=seed)
         hc = paths.propagate_sde(path, chart="hc")
-        hc_end = group.HCCoords(nu=hc.nu[-1], r=hc.r[-1], z=hc.z[-1],
-                                mu=hc.mu[-1])
-        ref = group.hc_to_cartan(hc_end)
+        ref = group.hc_to_cartan(group.HCCoords(
+            nu=hc.nu[-1], r=hc.r[-1], z=hc.z[-1], mu=hc.mu[-1]))
         cartan = paths.propagate_sde(path, chart="cartan")
-        f, _ = group.gauge_functions(hc_end)
-        errs = [abs(cartan.beta[-1] - ref.beta),
-                abs(cartan.alpha[-1] - ref.alpha),
-                abs(cartan.ell[-1] - ref.ell), abs(cartan.phi[-1] - ref.phi),
-                abs(cartan.ell[-1] - (hc_end.s - f))]
-        worst = max(worst, max(errs))
+        worst = max(worst, abs(cartan.ell[-1] - ref.ell),
+                    abs(cartan.phi[-1] - ref.phi))
     return worst <= tol, f"worst endpoint error {worst:.2e} (tol {tol:.0e})"
 
 
@@ -160,13 +161,11 @@ def check_modified_measure():
     expected = dt * np.linalg.inv(kernel.matrix)
     acc = np.zeros((N, N), dtype=complex)
     mean = np.zeros(N, dtype=complex)
-    chunk, stream = 20000, 0
-    for start in range(0, n_paths, chunk):
-        dw = paths.sample_modified(N, dt, 1.0, seed=88, n_paths=chunk,
+    for stream, size in paths._chunks(n_paths, 20000):
+        dw = paths.sample_modified(N, dt, 1.0, seed=88, n_paths=size,
                                    stream=stream).increments
         acc += dw.conj().T @ dw
         mean += dw.sum(axis=0)
-        stream += 1
     mean /= n_paths
     cov = acc / n_paths - np.outer(mean.conj(), mean)
     # Entrywise tolerance relative to the largest entry of dt M^-1; the

@@ -87,6 +87,20 @@ def test_distributions_with_mc(tmp_path):
     assert np.all(np.diff(sigma_col) > 0)  # Sigma grows
 
 
+def test_distributions_at_vanishing_time(tmp_path):
+    # kT from 2e-11: Sigma ~ kT^3/3 stays positive and q <= n on every row.
+    out = tmp_path / "tiny.csv"
+    assert cli.main(["distributions", "--t-final", "1e-9", "--dt", "1e-10",
+                     "--out", str(out)]) == 0
+    _, rows = _read_output(out)
+    header = rows[0].split(",")
+    table = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    kt, sigma, n, q = (table[:, header.index(name)]
+                       for name in ("kT", "sigma", "n", "q"))
+    assert len(kt) == 50 and np.all(sigma > 0) and np.all(q <= n)
+    assert np.max(np.abs(sigma / (kt ** 3 / 3) - 1)) <= 1e-12
+
+
 def test_distributions_fk_targets_and_variance_edge(tmp_path):
     # At check 9's (50, 1e-2) the discrete target is 1/det W = 1.820268
     # and the weight's variance is finite; at t-final 1.0 (N = 100) the

@@ -1,12 +1,13 @@
 """Tests for the reduced distributions and Feynman-Kac estimators."""
 
+import decimal
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spqm import dists, fock, moments, paths
+from spqm import dists, fock, group, moments, paths
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -16,6 +17,45 @@ def test_sigma_width_values():
     assert abs(dists.sigma_width(1.0) - 0.2384058) <= 1e-7
     assert abs(dists.sigma_width(0.1) - 3.3201e-4) <= 1e-7
     assert abs(dists.sigma_width(0.1) / (0.1 ** 3 / 3) - 1) <= 0.02
+
+
+#: From the vanishing end, where kT - tanh kT cancels, past the switch
+#: from its series to the direct form (kT = 0.035) to mid range.
+_SMALL_KT = [1e-12, 1e-8, 1e-6, 1e-3, 0.03, 0.05, 1.0]
+
+
+def _fifty_digit_sigma(kT):
+    """kT - tanh kT evaluated in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        x = decimal.Decimal(kT)
+        e = (2 * x).exp()
+        return float(x - (e - 1) / (e + 1))
+
+
+@pytest.mark.parametrize("kT", _SMALL_KT)
+def test_sigma_width_at_small_kt(kT):
+    sigma = dists.sigma_width(kT)
+    assert sigma > 0
+    assert abs(sigma / _fifty_digit_sigma(kT) - 1) <= 1e-12
+    assert dists.sigma_width(np.longdouble(kT)).dtype == np.longdouble
+    many = dists.sigma_width(np.array(_SMALL_KT))
+    assert many[_SMALL_KT.index(kT)] == sigma
+
+
+@pytest.mark.parametrize("kT", _SMALL_KT[:3])
+def test_densities_finite_at_vanishing_kt(kT):
+    # Sigma ~ kT^3/3 stays positive, so no division by zero.
+    point = dists.ReducedPoint.from_hc(2 * kT, 0.6 - 0.3j, -0.4 + 0.5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [dists.density_cartan_reduced(point, kT),
+                  dists.density_hc_reduced(point, kT, variables="hc"),
+                  dists.density_hc_reduced(point, kT, variables="cartan")]
+    for value in values:
+        assert np.isfinite(value.prefactor) and value.prefactor > 0
+        assert np.isfinite(value.gaussian_exponent)
+        assert value.gaussian_exponent < 0
 
 
 def test_sigma_width_rate_ode():
@@ -210,11 +250,17 @@ def test_feynman_kac_ess_collapse_warns():
                                    seed=5)
 
 
-def test_feynman_kac_weight_overflow_is_typed():
-    # kappa T = 270 under the modified measure, which has no tilt guard:
-    # s is about -1e6 to -1e7, so e^{-2s} overflows on every path.
+def test_feynman_kac_weight_overflow_is_typed(monkeypatch):
+    # Inside the tilt guard no sampled s comes near the overflow, so the
+    # endpoints are stood in for: s = -400 gives e^{-2s} = e^800 = inf.
+    def endpoints(N, dt, kappa, seed, n_paths, chunk=None):
+        zeros = np.zeros(n_paths, dtype=complex)
+        return group.HCCoords(nu=zeros, r=2 * kappa * dt * N,
+                              z=np.full(n_paths, 400 + 0j), mu=zeros)
+
+    monkeypatch.setattr(paths, "sample_endpoints", endpoints)
     with pytest.raises(fock.NumericalDomainError, match="overflowed"):
-        dists.feynman_kac_estimate("modified", "exp_neg_2s", "one", 4, 27000,
+        dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", 4, 50,
                                    0.01, 1.0, 0)
 
 
@@ -257,10 +303,23 @@ def test_feynman_kac_tilt_regime_admits(monkeypatch, N, dt):
     ("plain", "none"), ("modified", "exp_neg_2s")])
 def test_feynman_kac_tilt_guard_is_plain_exp_neg_2s_only(monkeypatch,
                                                          measure, weight):
+    # Past the tilt's edge the unweighted plain estimate draws; the
+    # weighted modified one is refused by name at any length, as no
+    # guard covers it.  e^{-2s} has no finite mean under the modified
+    # measure past N = 78 at kappa dt = 0.01, where unguarded 20,000
+    # paths read 26.8 (N = 83) and 2,300 (N = 108) with only an ESS
+    # warning.
     monkeypatch.setattr(paths, "_each_block", _refuse_to_draw)
-    with pytest.raises(_Drawn):
-        dists.feynman_kac_estimate(measure, weight, "one", 10, 26, 0.1, 1.0,
-                                   0)
+    if measure == "plain":
+        with pytest.raises(_Drawn):
+            dists.feynman_kac_estimate(measure, weight, "one", 10, 26, 0.1,
+                                       1.0, 0)
+        return
+    for N, dt in ((26, 0.1), (50, 0.01), (83, 0.01), (108, 0.01)):
+        with pytest.raises(ValueError, match="plain measure only") as info:
+            dists.feynman_kac_estimate(measure, weight, "one", 20000, N, dt,
+                                       1.0, 3)
+        assert not isinstance(info.value, moments.RegimeError)
 
 
 @pytest.mark.parametrize("N, dt", [
@@ -288,15 +347,22 @@ def test_feynman_kac_finite_variance_does_not_warn(monkeypatch, N, dt):
                                        dt, 1.0, 0)
 
 
+def _sampled_nu_abs2(sampler, n_paths, chunk, N, dt, seed):
+    """|nu|^2 of the closed form of `sampler`'s records on substream j
+    for chunk j, concatenated."""
+    return np.concatenate([
+        np.abs(paths.closed_form_hc(sampler(
+            N, dt, 1.0, seed, n_paths=min(chunk, n_paths - start),
+            stream=stream)).nu) ** 2
+        for stream, start in enumerate(range(0, n_paths, chunk))])
+
+
 def test_feynman_kac_unweighted_skips_the_centre(monkeypatch):
     # Weight "none" projects the records onto (nu, mu) and never runs
-    # the centre sum; the estimate is that of sample_endpoints' nu.
+    # the centre sum; the estimate is that of the sampled records' nu.
+    # The weighted route does run it, as its weight needs z.
     n_paths, chunk, N, dt = 700, 300, 60, 1e-3
-    want = [np.abs(paths.sample_endpoints("modified", N, dt, 1.0, 29,
-                                          min(chunk, n_paths - start),
-                                          stream=stream).nu) ** 2
-            for stream, start in enumerate(range(0, n_paths, chunk))]
-    want = np.concatenate(want)
+    want = _sampled_nu_abs2(paths.sample_modified, n_paths, chunk, N, dt, 29)
 
     def refuse(*args, **kwargs):
         raise AssertionError("centre sum formed")
@@ -307,20 +373,16 @@ def test_feynman_kac_unweighted_skips_the_centre(monkeypatch):
     assert abs(est.mean - want.mean()) <= 1e-14 * want.mean()
     assert est.ess == n_paths
     with pytest.raises(AssertionError, match="centre"):
-        dists.feynman_kac_estimate("modified", "exp_neg_2s", "nu_abs2", 10,
+        dists.feynman_kac_estimate("plain", "exp_neg_2s", "nu_abs2", 10,
                                    N, dt, 1.0, 29)
 
 
 def test_feynman_kac_unweighted_modified_never_correlates(monkeypatch):
     # Weight "none" under the modified measure projects white records
-    # onto the kernel's whitened loads; the weighted route still
-    # correlates them, since its centre z needs the record.
+    # onto the kernel's whitened loads; the record sampler, which the
+    # same stand-in stops, correlates them.
     n_paths, chunk, N, dt = 700, 300, 60, 1e-3
-    want = np.concatenate([
-        np.abs(paths.sample_endpoints("modified", N, dt, 1.0, 29,
-                                      min(chunk, n_paths - start),
-                                      stream=stream).nu) ** 2
-        for stream, start in enumerate(range(0, n_paths, chunk))])
+    want = _sampled_nu_abs2(paths.sample_modified, n_paths, chunk, N, dt, 29)
 
     def refuse(self, white):
         raise AssertionError("record correlated")
@@ -330,8 +392,7 @@ def test_feynman_kac_unweighted_modified_never_correlates(monkeypatch):
                                      N, dt, 1.0, 29, chunk=chunk)
     assert abs(est.mean - want.mean()) <= 1e-14 * want.mean()
     with pytest.raises(AssertionError, match="correlated"):
-        dists.feynman_kac_estimate("modified", "exp_neg_2s", "nu_abs2", 10,
-                                   N, dt, 1.0, 29)
+        paths.sample_modified(N, dt, 1.0, 29, n_paths=10)
 
 
 def test_feynman_kac_rejects_empty():
@@ -358,13 +419,84 @@ def test_feynman_kac_equals_sample_then_reduce():
     assert abs(est.stderr - want_se) <= 1e-14 * want_se
 
 
+def _projected_chunks(measure, n_paths, chunk, N, dt, seed):
+    """(nu, mu) as `paths._phase_sums` forms them: chunk j's blocks drawn
+    from substream j, each block's white rows projected panel by panel
+    onto the loads of (nu, mu)."""
+    if measure == "plain":
+        decay = np.exp(-2 * dt) ** np.arange(N)
+        loads = np.stack([decay[::-1], decay], axis=1)
+    else:
+        loads = moments.build_kernel(N, dt, 1.0)._whitened_loads()
+    loads = np.sqrt(dt / 2) * loads
+    sums = []
+    for j, start in enumerate(range(0, n_paths, chunk)):
+        size = min(chunk, n_paths - start)
+        for b, first in enumerate(range(0, size, paths._PATH_BLOCK)):
+            rows = paths._rng(seed, j, b).standard_normal(
+                (2 * min(paths._PATH_BLOCK, size - first), N))
+            sums += [rows[i:i + paths._PANEL_ROWS] @ loads
+                     for i in range(0, len(rows), paths._PANEL_ROWS)]
+    sums = np.concatenate(sums)
+    return (sums[0::2, 0] + 1j * sums[1::2, 0],
+            sums[0::2, 1] + 1j * sums[1::2, 1])
+
+
+@pytest.mark.parametrize("measure, weight", [
+    ("plain", "none"), ("modified", "none"), ("plain", "exp_neg_2s")])
+def test_feynman_kac_draws_all_chunks_in_one_schedule(monkeypatch, measure,
+                                                      weight):
+    # Three chunks, 300 + 300 + 100 paths, chunk j on substream j: one
+    # two-thread schedule for all of them, and the endpoints that the
+    # observable sees are the chunks' in order.
+    n_paths, chunk, N, dt, seed = 700, 300, 60, 1e-3, 41
+    sampler = {"plain": paths.sample_wiener,
+               "modified": paths.sample_modified}[measure]
+    parts = [paths.closed_form_hc(sampler(
+        N, dt, 1.0, seed, n_paths=min(chunk, n_paths - start), stream=j))
+        for j, start in enumerate(range(0, n_paths, chunk))]
+    closed = {name: np.concatenate([getattr(part, name) for part in parts])
+              for name in ("nu", "mu", "z")}
+    projected = _projected_chunks(measure, n_paths, chunk, N, dt, seed)
+
+    schedules, seen = [], []
+
+    def counted(count, task, _run=paths._run_blocks):
+        schedules.append(count)
+        return _run(count, task)
+
+    def observe(nu, mu):
+        seen.append((nu, mu))
+        return np.abs(nu) ** 2
+
+    monkeypatch.setattr(paths, "_run_blocks", counted)
+    est = dists.feynman_kac_estimate(measure, weight, observe, n_paths, N,
+                                     dt, 1.0, seed, chunk=chunk)
+    assert schedules == [5]  # blocks of 256 + 44, 256 + 44 and 100 paths
+    (nu, mu), = seen
+    if weight == "none":
+        # The projection, bit for bit; the closed form to rounding.
+        assert np.array_equal(nu, projected[0])
+        assert np.array_equal(mu, projected[1])
+        for got, name in ((nu, "nu"), (mu, "mu")):
+            want = closed[name]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        wf = np.abs(nu) ** 2
+    else:
+        # The closed form of the sampled records, bit for bit.
+        assert np.array_equal(nu, closed["nu"])
+        assert np.array_equal(mu, closed["mu"])
+        wf = np.exp(2 * closed["z"].real) * np.abs(closed["nu"]) ** 2
+    assert est.mean == wf.mean()
+    assert est.stderr == wf.std(ddof=1) / np.sqrt(n_paths)
+
+
 def test_feynman_kac_kish_ess_from_sampled_weights():
     # The weighted route through `paths.sample_endpoints`, one chunk.
     n_paths, N, dt = 3000, 40, 1e-2
     est = dists.feynman_kac_estimate("plain", "exp_neg_2s", "one", n_paths,
                                      N, dt, 1.0, 31)
-    w = np.exp(-2 * paths.sample_endpoints("plain", N, dt, 1.0, 31,
-                                           n_paths).s)
+    w = np.exp(-2 * paths.sample_endpoints(N, dt, 1.0, 31, n_paths).s)
     kish = w.sum() ** 2 / np.sum(w ** 2)
     assert abs(est.kish_ess - kish) <= 1e-12 * kish
     assert 1 < kish < n_paths
@@ -375,7 +507,7 @@ def test_feynman_kac_kish_ess_from_sampled_weights():
 def test_feynman_kac_several_observables_from_one_draw(monkeypatch, measure,
                                                        weight):
     # Each estimate of a tuple is bitwise that of its observable alone,
-    # and the records are drawn once: two chunks, one call per chunk.
+    # and the records are drawn once: two chunks, one call for both.
     def real_mu(nu, mu):
         return np.real(mu)
 
@@ -390,7 +522,7 @@ def test_feynman_kac_several_observables_from_one_draw(monkeypatch, measure,
             return _func(*args, **kwargs)
         monkeypatch.setattr(paths, name, counted)
     together = dists.feynman_kac_estimate(measure, weight, observables, **kw)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert isinstance(together, tuple) and len(together) == 3
     for got, want in zip(together, alone):
         assert type(got) is dists.FKEstimate

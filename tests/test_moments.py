@@ -343,6 +343,19 @@ def test_analytic_moments_values():
     assert abs(triple.q - (0.5 - np.exp(-2))) <= 1e-15
 
 
+@pytest.mark.parametrize("kT", [0.0, 1e-12, 1e-8, 1e-6, 1e-5, 1e-3, 0.03,
+                                0.05, 1.0, 50.0])
+def test_analytic_moments_keep_q_at_most_n(kT):
+    # n - q = 2 e^{-kT} cosh kT (kT - tanh kT)/(1 + kT) >= 0; the direct
+    # q = 1/(1 + kT) - e^{-2kT} cancels to q > n at small kT.
+    triple = moments.analytic_moments(kT)
+    assert triple.q <= triple.n
+    _, minus = moments.analytic_sum_difference(kT)
+    assert minus > 0 or kT == 0
+    many = moments.analytic_moments(np.array([kT, 2 * kT]))
+    assert np.all(many.q <= many.n) and many.q[0] == triple.q
+
+
 def test_analytic_sum_difference_small_time():
     kT = 0.01
     plus, minus = moments.analytic_sum_difference(kT)

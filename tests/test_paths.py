@@ -344,18 +344,48 @@ SAMPLERS = {"plain": paths.sample_wiener, "modified": paths.sample_modified}
 
 @pytest.mark.parametrize("N", [1, 33, 1000])
 @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 2500])
-@pytest.mark.parametrize("measure", ["plain", "modified"])
+@pytest.mark.parametrize("measure", ["plain"])  # its only measure
 def test_sample_endpoints_matches_sampled_records(measure, n_paths, N):
     # Blocks of 256 paths: one short block, one short of a block, one
     # exact block, a block plus one path, and many blocks plus a tail.
-    got = paths.sample_endpoints(measure, N, 1e-3, 1.0, 7, n_paths, stream=3)
+    # One chunk is substream 0; the same rows and the same reduction
+    # give the closed form of the sampled records bit for bit.
+    got = paths.sample_endpoints(N, 1e-3, 1.0, 7, n_paths)
     want = paths.closed_form_hc(SAMPLERS[measure](N, 1e-3, 1.0, 7,
-                                                  n_paths=n_paths, stream=3))
+                                                  n_paths=n_paths))
     assert got.r == want.r
     for name in ("nu", "mu", "z"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape == (n_paths,)
-        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_paths, chunk", [
+    (700, 300),  # two whole chunks and a ragged one
+    (600, 256),  # chunks of one block each, the last of 88 paths
+    (5, 1),  # one path per chunk
+    (300, 1000),  # one chunk, larger than the run
+])
+def test_sample_endpoints_chunk_j_is_substream_j(n_paths, chunk):
+    # Chunk j's endpoints are those of the records that sample_wiener
+    # draws on substream j, in chunk order and bit for bit.
+    got = paths.sample_endpoints(40, 1e-3, 1.0, 7, n_paths, chunk=chunk)
+    parts = [paths.closed_form_hc(paths.sample_wiener(
+        40, 1e-3, 1.0, 7, n_paths=min(chunk, n_paths - start), stream=j))
+        for j, start in enumerate(range(0, n_paths, chunk))]
+    for name in ("nu", "mu", "z"):
+        want = np.concatenate([getattr(part, name) for part in parts])
+        assert np.array_equal(getattr(got, name), want)
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_chunks_need_a_path_each(chunk):
+    with pytest.raises(ValueError, match="per chunk"):
+        paths._chunks(10, chunk)
+    for run in (paths.sample_endpoints, lambda *args, **kw: (
+            paths._phase_sums("plain", *args, **kw))):
+        with pytest.raises(ValueError, match="per chunk"):
+            run(10, 1e-3, 1.0, 0, 10, chunk=chunk)
 
 
 #: Time steps of the record lengths just inside the modified kernel's
@@ -369,27 +399,27 @@ _EDGE_DT = {261: 0.1, 1067: 0.05}
 @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_phase_sums_match_sampled_records(measure, n_paths, N, chunk):
-    # The projection onto (nu, mu), chunk by chunk on streams 0, 1, ...
-    # as `dists.feynman_kac_estimate` calls it, against the closed form
-    # of the records the public sampler draws for the same chunk.
-    chunk = chunk or n_paths
+    # The projection onto (nu, mu) of all chunks in one call, as
+    # `dists.feynman_kac_estimate` makes it, against the closed form of
+    # the records the public sampler draws on substream j for chunk j.
     dt = _EDGE_DT.get(N, 1e-3)
-    for stream, start in enumerate(range(0, n_paths, chunk)):
-        size = min(chunk, n_paths - start)
-        nu, mu = paths._phase_sums(measure, N, dt, 1.0, 7, size,
-                                   stream=stream)
-        want = paths.closed_form_hc(SAMPLERS[measure](
-            N, dt, 1.0, 7, n_paths=size, stream=stream))
-        for a, b in ((nu, want.nu), (mu, want.mu)):
-            assert a.shape == b.shape == (size,)
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    nu, mu = paths._phase_sums(measure, N, dt, 1.0, 7, n_paths, chunk=chunk)
+    size = chunk or n_paths
+    parts = [paths.closed_form_hc(SAMPLERS[measure](
+        N, dt, 1.0, 7, n_paths=min(size, n_paths - start), stream=stream))
+        for stream, start in enumerate(range(0, n_paths, size))]
+    for got, name in ((nu, "nu"), (mu, "mu")):
+        want = np.concatenate([getattr(part, name) for part in parts])
+        assert got.shape == want.shape == (n_paths,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_modified_phase_sums_never_correlate(monkeypatch):
     # Under the modified measure the white rows are projected onto the
     # kernel's whitened loads, so no record is correlated; the sums
     # are those of the correlated records all the same.
-    want = paths.sample_endpoints("modified", 300, 1e-2, 1.0, 3, 600)
+    want = paths.closed_form_hc(paths.sample_modified(300, 1e-2, 1.0, 3,
+                                                      n_paths=600))
 
     def refuse(self, white):
         raise AssertionError("record correlated")
@@ -399,7 +429,7 @@ def test_modified_phase_sums_never_correlate(monkeypatch):
     for a, b in ((nu, want.nu), (mu, want.mu)):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     with pytest.raises(AssertionError, match="correlated"):
-        paths.sample_endpoints("modified", 300, 1e-2, 1.0, 3, 600)
+        paths.sample_modified(300, 1e-2, 1.0, 3, n_paths=600)
 
 
 def _one_draw_rows(seed, stream, n_paths, N):
@@ -424,9 +454,11 @@ def test_sample_wiener_panels_are_one_draw_per_block():
 @pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_phase_sum_panels_are_one_draw_per_block(measure):
     # The projection of each block's one-call draw onto the loads of
-    # `paths._phase_sums`, product by product over `_PANEL_ROWS` rows.
+    # `paths._phase_sums`, product by product over `_PANEL_ROWS` rows:
+    # chunk 0 of two blocks on substream 0, chunk 1 of 88 paths on 1.
     N, dt = 1001, 1e-3
-    rows = _one_draw_rows(5, 2, 600, N)
+    rows = np.concatenate([_one_draw_rows(5, 0, 512, N),
+                           _one_draw_rows(5, 1, 88, N)])
     if measure == "plain":
         decay = np.exp(-2 * dt) ** np.arange(N)
         loads = np.stack([decay[::-1], decay], axis=1)
@@ -435,7 +467,7 @@ def test_phase_sum_panels_are_one_draw_per_block(measure):
     loads = np.sqrt(dt / 2) * loads
     sums = np.concatenate([rows[i:i + paths._PANEL_ROWS] @ loads
                            for i in range(0, len(rows), paths._PANEL_ROWS)])
-    nu, mu = paths._phase_sums(measure, N, dt, 1.0, 5, 600, stream=2)
+    nu, mu = paths._phase_sums(measure, N, dt, 1.0, 5, 600, chunk=512)
     assert np.array_equal(nu, sums[0::2, 0] + 1j * sums[1::2, 0])
     assert np.array_equal(mu, sums[0::2, 1] + 1j * sums[1::2, 1])
 
@@ -481,7 +513,7 @@ _SAMPLERS = {
     "sample_wiener": lambda N, n: paths.sample_wiener(N, 1e-3, 1.0, 0, n),
     "sample_modified": lambda N, n: paths.sample_modified(N, 1e-3, 1.0, 0, n),
     "sample_endpoints": lambda N, n: paths.sample_endpoints(
-        "modified", N, 1e-3, 1.0, 0, n),
+        N, 1e-3, 1.0, 0, n),
     "_phase_sums": lambda N, n: paths._phase_sums("plain", N, 1e-3, 1.0, 0, n),
 }
 
@@ -522,7 +554,7 @@ class _RecordingPool(futures.ThreadPoolExecutor):
 # per-block step (`paths._each_block`) it runs on either thread.
 _FAILING_RUNS = {
     "endpoints": ("_reduce_rows", lambda: paths.sample_endpoints(
-        "plain", 40, 1e-3, 1.0, 2, 2000)),
+        40, 1e-3, 1.0, 2, 2000)),
     "records": ("_store_rows", lambda: paths.sample_wiener(
         40, 1e-3, 1.0, 2, n_paths=2000)),
 }
@@ -666,16 +698,23 @@ def _check_schedules(monkeypatch, hook, run):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("measure", ["plain", "modified"])
+# Two chunks of 1300 paths, 1280 and 20: the six blocks of
+# `_check_schedules`, the last one on substream 1.
+_SCHEDULE_CHUNK = 1280
+
+
+@pytest.mark.parametrize("measure", ["plain"])  # its only measure
 def test_sample_endpoints_do_not_depend_on_schedule(monkeypatch, measure):
     _check_schedules(monkeypatch, "_reduce_rows", lambda: (
-        paths.sample_endpoints(measure, 40, 1e-3, 1.0, 5, 1300, stream=1)))
+        paths.sample_endpoints(40, 1e-3, 1.0, 5, 1300,
+                               chunk=_SCHEDULE_CHUNK)))
 
 
 @pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_phase_sums_do_not_depend_on_schedule(monkeypatch, measure):
     _check_schedules(monkeypatch, "_project_rows", lambda: (
-        paths._phase_sums(measure, 40, 1e-3, 1.0, 5, 1300, stream=1)))
+        paths._phase_sums(measure, 40, 1e-3, 1.0, 5, 1300,
+                          chunk=_SCHEDULE_CHUNK)))
 
 
 @pytest.mark.parametrize("measure", ["plain", "modified"])
@@ -693,8 +732,8 @@ class _RefusingPool:
 def test_single_block_uses_no_worker(monkeypatch, n_paths):
     # One block is drawn on the calling thread alone.
     runs = [lambda: paths.sample_wiener(40, 1e-3, 1.0, 5, n_paths=n_paths),
-            lambda: paths.sample_endpoints("modified", 40, 1e-3, 1.0, 5,
-                                           n_paths or 1)]
+            lambda: paths.sample_modified(40, 1e-3, 1.0, 5, n_paths=n_paths),
+            lambda: paths.sample_endpoints(40, 1e-3, 1.0, 5, n_paths or 1)]
     want = [run() for run in runs]
     monkeypatch.setattr(paths, "_worker", _RefusingPool())
     for run, ref in zip(runs, want):
@@ -735,8 +774,7 @@ def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
     # thread may call the public samplers or closed_form_hc, whether
     # the threads interleave, the calling thread takes every block, or
     # the worker does.
-    want = {m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
-            for m in SAMPLERS}
+    want = paths.sample_endpoints(50, 1e-3, 1.0, 4, 600, chunk=500)
 
     def refuse(*args, **kwargs):
         raise AssertionError("public function called")
@@ -746,10 +784,9 @@ def test_sample_endpoints_calls_no_public_path_function(monkeypatch):
     blocking = _BlockingPool()
     for pool in (paths._worker, _IdlePool(), blocking):
         monkeypatch.setattr(paths, "_worker", pool)
-        for measure, end in want.items():
-            got = paths.sample_endpoints(measure, 50, 1e-3, 1.0, 4, 600)
-            for a, b in zip(_arrays(got), _arrays(end)):
-                assert np.array_equal(a, b)
+        got = paths.sample_endpoints(50, 1e-3, 1.0, 4, 600, chunk=500)
+        for a, b in zip(_arrays(got), _arrays(want)):
+            assert np.array_equal(a, b)
     blocking.shutdown()
 
 
@@ -758,11 +795,11 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
     # call no traced (public) function of any layer, so the whole cost
     # stays inside the span of the caller on the calling thread.  The
     # pool's thread takes every block.
-    runs = [lambda m=m: paths.sample_endpoints(m, 50, 1e-3, 1.0, 4, 600)
-            for m in SAMPLERS]
+    runs = [lambda: paths.sample_endpoints(50, 1e-3, 1.0, 4, 600, chunk=500)]
     runs += [lambda f=f: f(50, 1e-3, 1.0, 4, n_paths=600)
              for f in SAMPLERS.values()]
-    runs += [lambda m=m: paths._phase_sums(m, 50, 1e-3, 1.0, 4, 600)
+    runs += [lambda m=m: paths._phase_sums(m, 50, 1e-3, 1.0, 4, 600,
+                                           chunk=500)
              for m in SAMPLERS]
     record = paths.sample_wiener(500, 1e-3, 1.0, 4)
     runs.append(lambda: paths.kraus_time_ordered(record, 12))
@@ -793,11 +830,6 @@ def test_worker_thread_calls_no_public_function(monkeypatch):
         for a, b in zip(_arrays(run()), _arrays(ref)):
             assert np.array_equal(a, b)
     pool.shutdown()
-
-
-def test_sample_endpoints_rejects_unknown_measure():
-    with pytest.raises(ValueError, match="measure"):
-        paths.sample_endpoints("uniform", 10, 1e-3, 1.0, 0, 5)
 
 
 def test_ito_isometry_plain_measure():

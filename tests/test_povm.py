@@ -252,18 +252,18 @@ def test_channel_monte_carlo_input_validation():
 def _channel_oracle(rho, kT, n_paths, dt, dim, seed):
     """The channel average as a loop over chunks of `CHANNEL_CHUNK` paths.
 
-    Each chunk's endpoints come from `paths.sample_endpoints` on its own
-    substream, are represented by `group.represent` and summed by
-    einsum.  Returns (rho_mc, traces, trace_distance, trace_mean,
-    trace_stderr).
+    Each chunk's endpoints are the closed form of the records that
+    `paths.sample_wiener` draws on its own substream, represented by
+    `group.represent` and summed by einsum.  Returns (rho_mc, traces,
+    trace_distance, trace_mean, trace_stderr).
     """
     factor, N = _rho_factor(rho), int(round(kT / dt))
     rho_mc = np.zeros((dim, dim), dtype=complex)
     traces = []
     for stream, start in enumerate(range(0, n_paths, povm.CHANNEL_CHUNK)):
         size = min(povm.CHANNEL_CHUNK, n_paths - start)
-        ends = paths.sample_endpoints("plain", N, dt, 1.0, seed, size,
-                                      stream=stream)
+        ends = paths.closed_form_hc(paths.sample_wiener(
+            N, dt, 1.0, seed, n_paths=size, stream=stream))
         v = group.represent(ends, dim) @ factor
         rho_mc += np.einsum("pij,pkj->ik", v, np.conj(v))
         traces.append(np.einsum("pij,pij->p", v, np.conj(v)).real)
