@@ -197,7 +197,8 @@ def _represent(nu, r, z, mu, dim):
     covers nu, mu, the exponent (so r and z) and the product, which
     every overflow reaches; nu and mu are checked themselves because at
     dim 1 the ladders hold no power of them.  Calls no public function,
-    so that `paths.kraus_time_ordered` can run it on its worker thread.
+    so that `povm._channel_rows` can run it on the worker thread of
+    `paths._run_blocks`.
     """
     shape = np.broadcast(nu, r, z, mu).shape
     ladders = fock._ladders(dim, shape, nu, np.conj(mu))

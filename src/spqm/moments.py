@@ -112,13 +112,22 @@ def _schur_pivots(N, kdt, load=None, form="kernel"):
     return 1 - np.array(deficits)
 
 
+def _check_arguments(N, dt, kappa):
+    """Raise ValueError for N < 0, dt <= 0, kappa < 0 or either not finite."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    if not (0 < dt < math.inf and 0 <= kappa < math.inf):
+        raise ValueError("need finite dt > 0 and kappa >= 0")
+
+
 @dataclass(frozen=True)
 class Kernel:
     """The N x N modified-measure kernel, held by the pivots of D M D^T.
 
-    Construction checks the regime: ValueError for N < 0, dt <= 0 or
-    kappa < 0, RegimeError for kappa dt >= 0.5 and for any record
-    length at which the kernel is not positive definite.
+    Construction checks the regime: ValueError for N < 0, dt <= 0,
+    kappa < 0 or either not finite, RegimeError for kappa dt >= 0.5
+    and for any record length at which the kernel is not positive
+    definite.
     `pivots[k]` is det M_{k+1} / det M_k.  `matrix` assembles the dense
     M on demand, as an O(N^2) reference for tests, checks and demos.
     """
@@ -129,10 +138,7 @@ class Kernel:
     pivots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("N must be nonnegative")
-        if self.dt <= 0 or self.kappa < 0:
-            raise ValueError("need dt > 0 and kappa >= 0")
+        _check_arguments(self.N, self.dt, self.kappa)
         kdt = self.kappa * self.dt
         if kdt >= 0.5:
             raise RegimeError(
@@ -344,13 +350,11 @@ def _tilt_pivots(N, dt, kappa, strength, form):
     tilt of its square e^{-4s}, so E_plain[e^{-4s}] = 1/det(2W - I)
     and e^{-2s} has finite variance exactly while 2W - I is positive
     definite.  I - c H = a I - b K with b = c / rho and a = 1 - c + b,
-    c = strength kappa dt.  Raises RegimeError, naming `form`, at the
-    first non-positive pivot.
+    c = strength kappa dt.  Raises ValueError for the arguments that
+    `Kernel` refuses, and RegimeError, naming `form`, at the first
+    non-positive pivot.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    if dt <= 0 or kappa < 0:
-        raise ValueError("need dt > 0 and kappa >= 0")
+    _check_arguments(N, dt, kappa)
     kdt = kappa * dt
     tilt = strength * kdt / math.exp(-2 * kdt)
     a = 1 - strength * kdt + tilt

@@ -5,7 +5,8 @@ dw = (dW^q + i dW^p)/sqrt(2) with <|dw|^2> = dt under the plain Wiener
 measure.  This module draws such records (plain and modified measure),
 integrates the resulting SDEs in either chart, evaluates the
 stochastic-integral closed forms for the endpoint, and forms the
-time-ordered Kraus product in a truncated Fock representation.
+time-ordered Kraus product in a truncated Fock representation, as one
+`group.represent` of its composed HC coordinates.
 
 Inside the samplers a block of records is a real array of rows, each
 path's real row followed by its imaginary row, as the generator draws
@@ -23,9 +24,7 @@ block in panels of `_PANEL_ROWS` rows, drawn one after another from
 the block's generator, so their rows take O(`_PANEL_ROWS` N) memory;
 steps that make one pass along the record per call (correlating,
 reducing) get whole blocks, O(`_PATH_BLOCK` N).  The same two threads
-(`_run_blocks`) share the blocks of `closed_form_hc`'s record and the
-blocks of steps of the Kraus product, each block's factors built from
-one ladder.
+(`_run_blocks`) share the path blocks of `closed_form_hc`'s records.
 
 Increment arrays may carry leading batch axes: shape (..., N) with the
 step index last.  All closed forms broadcast over the batch.
@@ -39,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fock, group
+from . import group, moments
 
 __all__ = [
     "WienerPath",
@@ -55,11 +54,6 @@ __all__ = [
 
 #: Steps per block in the blocked evaluation of `closed_form_hc`.
 _BLOCK = 32
-
-#: Steps per block of Kraus factors that `kraus_time_ordered` builds and
-#: reduces to one product at once, on either thread of `_run_blocks`;
-#: all factors of a long record at once would double peak memory.
-_KRAUS_BLOCK = 64
 
 #: Taylor coefficients 1/(k+2)! of `_kraus_centre` in powers of -eps.
 _CENTRE_SERIES = tuple(1 / math.factorial(k + 2) for k in range(17))
@@ -78,7 +72,7 @@ _PATH_BLOCK = 256
 _PANEL_ROWS = 64
 
 #: The one worker thread of `_run_blocks`, shared by every sampler, the
-#: channel Monte Carlo and the Kraus product, and made on first use.
+#: channel Monte Carlo and `closed_form_hc`, and made on first use.
 _worker = None
 
 
@@ -102,16 +96,17 @@ class WienerPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf and 0 < self.kappa < np.inf):
-            raise ValueError("dt and kappa must be positive")
+        _check_step(self.dt, self.kappa)
 
     @property
     def n_steps(self):
         return self.increments.shape[-1]
 
-    @property
-    def t_final(self):
-        return self.n_steps * self.dt
+
+def _check_step(dt, kappa):
+    """Raise ValueError unless dt and kappa are both positive and finite."""
+    if not (0 < dt < np.inf and 0 < kappa < np.inf):
+        raise ValueError("dt and kappa must be positive and finite")
 
 
 def _rng(seed, stream, block):
@@ -172,7 +167,8 @@ def _run_blocks(count, task):
     cost inside the caller's span.  A single block runs on the calling
     thread alone, as handing it to the worker would cost more than the
     block.  A failure on either thread stops the other from claiming
-    more blocks and is raised here, with no job left running.
+    more blocks and is raised here, with no job left running.  Serves
+    the path blocks of `_each_block` and of `closed_form_hc`.
     """
     global _worker
     if _worker is None:
@@ -359,15 +355,15 @@ def _measure_kernel(measure, N, dt, kappa, n_paths):
     """Check the arguments of an endpoint draw; the measure's kernel.
 
     None for the plain measure, `moments.build_kernel` for the modified
-    one.  Raises ValueError for N < 1, n_paths < 1 or an unknown
+    one.  Raises ValueError for N < 1, n_paths < 1, a dt or kappa that
+    is not positive and finite (`WienerPath`'s rule) or an unknown
     measure, before anything is drawn.
     """
-    from . import moments
-
     if N < 1:
         raise ValueError("need at least one increment")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    _check_step(dt, kappa)
     if measure == "plain":
         return None
     if measure == "modified":
@@ -512,7 +508,7 @@ def closed_form_hc(path):
     offsets of the exact discrete recursion, so the result equals the
     iterated `group.increment_left_multiply` to floating-point
     accuracy, not just to O(dt).  Broadcasts over batch axes of the
-    increments.
+    increments.  A record of no steps gives the identity's coordinates.
 
     The kernel rho^(k-l-1) is semiseparable (rank one off the
     diagonal), so the record is cut into blocks of `_BLOCK` steps.  One
@@ -531,14 +527,15 @@ def closed_form_hc(path):
     """
     dw = np.asarray(path.increments, dtype=complex)
     batch, N = dw.shape[:-1], dw.shape[-1]
-    flat = dw.reshape(-1, N)
-    ends = np.empty((3, len(flat)), dtype=complex)
+    flat = dw.reshape(math.prod(batch), N)
+    ends = np.zeros((3, len(flat)), dtype=complex)
 
     def reduce(b, thread):
         block = slice(b * _PATH_BLOCK, (b + 1) * _PATH_BLOCK)
         ends[:, block] = _row_sums(flat[block], 1.0, path.kappa, path.dt)
 
-    _run_blocks(-(-len(flat) // _PATH_BLOCK), reduce)
+    if N:
+        _run_blocks(-(-len(flat) // _PATH_BLOCK), reduce)
     nu, z, mu = ends.reshape((3,) + batch)
     return group.HCCoords(nu=nu, r=2 * path.kappa * path.dt * N, z=z, mu=mu)
 
@@ -622,25 +619,31 @@ def _kraus_centre(eps):
 def kraus_time_ordered(path, dim):
     """Time-ordered product of one-increment Kraus factors.
 
-    Each factor is exp(-Ho eps + a conj(c) + a_dag c), eps = 2 kappa dt
-    and c = sqrt(kappa) dw, a positive group element; the latest factor
-    stands leftmost.  Its HC coordinates are closed forms,
+    Each factor is exp(-Ho eps + a conj(c_k) + a_dag c_k), eps =
+    2 kappa dt and c_k = sqrt(kappa) dw_k, a positive group element;
+    the latest factor stands leftmost.  Its HC coordinates are closed
+    forms,
 
-        nu = mu = g c,  r = eps,  z = |c|^2 (eps - 1 + e^-eps)/eps^2,
+        nu = mu = g c_k,  r = eps,  z = kappa_c |c_k|^2,
 
-    with g = (1 - e^-eps)/eps, so each factor is `group.represent` of
-    them: exact under truncation, no matrix exponential.  With mu = nu
-    and z real the factor is L D L^H, L = exp(a_dag nu) and D =
-    exp(-Ho eps + z), so each block of `_KRAUS_BLOCK` steps is built
-    from one ladder (`_kraus_factors`) and reduced to its ordered
-    product (`_ordered_product`) into a slot of its own; the blocks are
-    shared by the calling thread and the worker (`_run_blocks`), so the
-    product does not depend on the schedule, and a record of at most
-    one block uses no worker.  The slots are then reduced the same way
-    on the calling thread.  As dt -> 0 at fixed record the product
-    converges at first order in dt to represent(closed_form_hc(path)).
-    Raises `fock.NumericalDomainError` where a factor or the product is
-    not finite.
+    with g = (1 - e^-eps)/eps and kappa_c = (eps - 1 + e^-eps)/eps^2
+    (`_kraus_centre`).  The factors are elements of one group, so their
+    product is one too, and the HC group law composes its coordinates
+    exactly.  `closed_form_hc` composes the increments (c_k, eps,
+    |c_k|^2/2, c_k) of `group.increment_left_multiply` by the same law;
+    nu and mu are linear in the c_k and the centre's cross terms
+    bilinear, so with (nu, r, z, mu) = `closed_form_hc(path)` and
+    S = sum_k |c_k|^2 the product is
+
+        (g nu, r, g^2 z + (kappa_c - g^2/2) S, g mu),
+
+    and the matrix is one `group.represent` of it: exact under
+    truncation at any dim, with no product of truncated matrices.  An
+    empty record gives the identity.  As dt -> 0 at fixed record, g ->
+    1 and kappa_c -> 1/2, so the product converges at first order in dt
+    to represent(closed_form_hc(path)).  Raises
+    `fock.NumericalDomainError` where a coordinate is not finite or the
+    matrix overflows.
 
     The truncation should keep the state support interior; as a
     guideline dim >= 8 (1 + max(|nu_t|, |mu_t|))^2.
@@ -649,67 +652,13 @@ def kraus_time_ordered(path, dim):
     if dw.ndim != 1:
         raise ValueError("kraus_time_ordered takes one path at a time")
     eps = 2 * path.kappa * path.dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.sqrt(path.kappa) * dw
-        nu = -math.expm1(-eps) / eps * c
-        z = np.abs(c) ** 2 * _kraus_centre(eps)
-    slots = np.empty((-(-len(c) // _KRAUS_BLOCK), dim, dim), dtype=complex)
-
-    def reduce(b, thread):
-        steps = slice(b * _KRAUS_BLOCK, (b + 1) * _KRAUS_BLOCK)
-        slots[b] = _ordered_product(_kraus_factors(nu[steps], eps, z[steps],
-                                                   dim))
-
-    _run_blocks(len(slots), reduce)
-    product = _ordered_product(slots)
-    if not np.all(np.isfinite(product)):
-        raise fock.NumericalDomainError("Kraus product overflowed")
-    return product
-
-
-def _kraus_factors(nu, eps, z, dim):
-    """The factors group._represent(nu, eps, z, nu, dim), bit for bit.
-
-    `nu` is complex and `z` real, both of shape (n,).  The right ladder
-    of `group._represent`, exp(a_dag conj(nu)), is then the elementwise
-    conjugate of the left one, so one `fock._ladders` call builds L and
-    each factor is L D L^H, D = exp(-Ho eps + z) multiplied into L's
-    columns in place.  One check covers nu, the exponent and the
-    factors, as there.  Calls no public function, so that
-    `kraus_time_ordered` can run it on its worker thread.
-    """
-    left = fock._ladders(dim, nu.shape, nu)[..., 0, :, :]
-    right = np.swapaxes(left.conj(), -1, -2)
-    levels = np.arange(dim) + 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponent = -levels * eps + z[:, None]
-        left *= np.exp(exponent)[:, None, :]
-        out = left @ right
-    if not (np.isfinite(nu).all() and np.isfinite(exponent).all()
-            and np.isfinite(out).all()):
-        raise fock.NumericalDomainError(
-            "Kraus factor: an increment is not finite, or it overflows")
-    return out
-
-
-def _ordered_product(factors):
-    """factors[-1] @ ... @ factors[0], the latest factor leftmost.
-
-    A pairwise tree: each level forms every f[2i+1] @ f[2i] in one
-    batched product and carries an unpaired latest factor up, so n
-    factors take about log2(n) calls in place of n.  The identity for
-    no factors.  Overflow gives non-finite entries; the caller checks.
-    Calls no public function.
-    """
-    if not len(factors):
-        return np.eye(factors.shape[-1], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(factors) > 1:
-            even = len(factors) // 2 * 2
-            paired = factors[1:even:2] @ factors[0:even:2]
-            factors = (np.concatenate((paired, factors[even:]))
-                       if even < len(factors) else paired)
-    return factors[0]
+    g = -math.expm1(-eps) / eps
+    with np.errstate(over="ignore", invalid="ignore"):  # represent raises
+        x = closed_form_hc(path)
+        total = path.kappa * np.sum(np.abs(dw) ** 2)
+        z = g * g * x.z + (_kraus_centre(eps) - g * g / 2) * total
+        return group.represent(group.HCCoords(nu=g * x.nu, r=x.r, z=z,
+                                              mu=g * x.mu), dim)
 
 
 def refine_path(path, factor, seed):

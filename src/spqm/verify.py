@@ -281,12 +281,14 @@ def check_kraus_product():
     """Time-ordered product converges to the closed-form representation.
 
     The error must shrink by at least 2x under dt -> dt/4 (half-order
-    convergence would give exactly 2x).  Measured behavior is in fact
-    first order -- ratio 4.0, stable across seeds and across a further
-    dt/4 -> dt/16 refinement -- because the per-step coordinate defects
-    of the discrete recursion are deterministic O(dt) multiples of the
-    increments rather than fluctuating O(dt^{3/2}) terms, so the
-    product beats the generic sqrt(dt) strong-convergence rate here.
+    convergence would give exactly 2x).  The rate is first order, ratio
+    ~4: the product's coordinates are (g nu, r, g^2 z +
+    (kappa_c - g^2/2) S, g mu) with (nu, r, z, mu) the closed form and
+    S = kappa sum |dw|^2 (`paths.kraus_time_ordered`), and with
+    eps = 2 kappa dt, g = 1 - eps/2 + O(eps^2) and
+    kappa_c - g^2/2 = eps/3 + O(eps^2).  So every coordinate is off
+    by a deterministic O(dt) multiple of its closed-form value, not by
+    a fluctuating O(sqrt(dt)) term.
     """
     dim = 24
     path = paths.sample_wiener(500, 1e-3, 1.0, seed=555)

@@ -395,6 +395,26 @@ def test_feynman_kac_unweighted_modified_never_correlates(monkeypatch):
         paths.sample_modified(N, dt, 1.0, 29, n_paths=10)
 
 
+@pytest.mark.parametrize("dt, kappa", [
+    (-1e-3, 1.0), (np.nan, 1.0), (1e-3, -1.0), (1e-3, np.inf)])
+@pytest.mark.parametrize("measure, weight", [
+    ("plain", "none"), ("modified", "none"), ("plain", "exp_neg_2s")])
+def test_feynman_kac_checks_step_and_rate_before_drawing(
+        monkeypatch, measure, weight, dt, kappa):
+    # A step or rate that is not positive and finite is refused before
+    # anything is drawn, with no warning and no NaN or inf estimate.
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking")
+
+    monkeypatch.setattr(paths, "_rng", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            dists.feynman_kac_estimate(measure, weight, "one", n_paths=10,
+                                       N=10, dt=dt, kappa=kappa, seed=0)
+    assert not isinstance(info.value, moments.RegimeError)
+
+
 def test_feynman_kac_rejects_empty():
     with pytest.raises(ValueError):
         dists.feynman_kac_estimate("plain", "none", "one", n_paths=0,

@@ -232,6 +232,16 @@ def test_closed_form_single_increment():
     assert abs(end.z - 0.5 * 2.0 * abs(dw[0]) ** 2) <= 1e-18
 
 
+@pytest.mark.parametrize("batch", [(), (3, 2)])
+def test_closed_form_of_no_steps_is_identity(batch):
+    path = paths.WienerPath(dt=1e-3, kappa=1.0,
+                            increments=np.zeros(batch + (0,), complex))
+    end = paths.closed_form_hc(path)
+    for part in (end.nu, end.z, end.mu):
+        assert part.shape == batch and not part.any()
+    assert end.r == 0
+
+
 def test_closed_form_equals_recursion():
     batch = paths.sample_wiener(300, 1e-3, 1.0, seed=6, n_paths=100)
     closed = paths.closed_form_hc(batch)
@@ -510,12 +520,18 @@ def test_phase_sums_reject_bad_arguments():
 
 
 _SAMPLERS = {
-    "sample_wiener": lambda N, n: paths.sample_wiener(N, 1e-3, 1.0, 0, n),
-    "sample_modified": lambda N, n: paths.sample_modified(N, 1e-3, 1.0, 0, n),
-    "sample_endpoints": lambda N, n: paths.sample_endpoints(
-        N, 1e-3, 1.0, 0, n),
-    "_phase_sums": lambda N, n: paths._phase_sums("plain", N, 1e-3, 1.0, 0, n),
+    "sample_wiener": lambda N, n, dt=1e-3, kappa=1.0: paths.sample_wiener(
+        N, dt, kappa, 0, n),
+    "sample_modified": lambda N, n, dt=1e-3, kappa=1.0: paths.sample_modified(
+        N, dt, kappa, 0, n),
+    "sample_endpoints": lambda N, n, dt=1e-3, kappa=1.0: (
+        paths.sample_endpoints(N, dt, kappa, 0, n)),
+    "_phase_sums": lambda N, n, dt=1e-3, kappa=1.0: paths._phase_sums(
+        "plain", N, dt, kappa, 0, n),
 }
+
+#: Steps and rates that are not positive and finite, as (dt, kappa).
+BAD_STEPS = [(-1e-3, 1.0), (np.nan, 1.0), (1e-3, -1.0), (1e-3, np.inf)]
 
 
 @pytest.mark.parametrize("N, n_paths, message", [
@@ -527,6 +543,20 @@ def test_samplers_share_one_argument_check(sampler, N, n_paths, message):
     # for zero paths and no numpy shape error for a negative count.
     with pytest.raises(ValueError, match=f"^{message}$"):
         _SAMPLERS[sampler](N, n_paths)
+
+
+@pytest.mark.parametrize("dt, kappa", BAD_STEPS)
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_samplers_check_step_and_rate_before_drawing(monkeypatch, sampler,
+                                                     dt, kappa):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking")
+
+    monkeypatch.setattr(paths, "_rng", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            _SAMPLERS[sampler](10, 5, dt, kappa)
 
 
 @pytest.mark.parametrize("dt, kappa", [
@@ -596,13 +626,17 @@ def _fail_on_one_thread(monkeypatch, failing, sampler):
     Each thread holds one block when the failing one raises; the other
     must then claim no further block, and the error must be raised
     with no job in flight.  Afterwards the result is the same again.
-    A block may reach the step in several panels, so the calls are
-    counted by block (`start // paths._PATH_BLOCK`).
+    A block may reach the step in several panels, so the blocks are
+    counted by the (stream, block) their generator is seeded from
+    (`_recording_rng`).
     """
     hook, run = _FAILING_RUNS[sampler]
     want = run()
     step, caller = getattr(paths, hook), threading.current_thread()
-    inside, stopped, calls = threading.Event(), threading.Event(), []
+    inside, stopped = threading.Event(), threading.Event()
+
+    def role():
+        return "caller" if threading.current_thread() is caller else "worker"
 
     class Claims(paths._Claims):
         def stop(self):
@@ -610,16 +644,15 @@ def _fail_on_one_thread(monkeypatch, failing, sampler):
             stopped.set()
 
     def step_or_fail(rows, start, *args):
-        role = "caller" if threading.current_thread() is caller else "worker"
-        calls.append((role, start // paths._PATH_BLOCK))
-        if role == failing:
+        if role() == failing:
             inside.wait(10)
-            raise RuntimeError(f"{role} block")
+            raise RuntimeError(f"{failing} block")
         inside.set()
         stopped.wait(10)
         return step(rows, start, *args)
 
     pool = _RecordingPool()
+    calls = _recording_rng(monkeypatch, role)
     monkeypatch.setattr(paths, "_worker", pool)
     monkeypatch.setattr(paths, "_Claims", Claims)
     monkeypatch.setattr(paths, hook, step_or_fail)
@@ -654,7 +687,7 @@ def test_sample_wiener_caller_error_stops_worker(monkeypatch):
 class _EagerPool:
     """Runs each job at once, so the worker's part claims every block
     before the calling thread asks for one.  `taken` counts the blocks
-    its job reached, from the block indices appended to `calls`."""
+    its job reached, from the entries appended to `calls`."""
 
     def __init__(self, calls):
         self.calls, self.taken = calls, None
@@ -676,50 +709,61 @@ class _IdlePool:
         return job
 
 
-def _check_schedules(monkeypatch, hook, run):
+def _recording_rng(monkeypatch, tag=lambda: None):
+    """Wrap `paths._rng` to append (tag(), (stream, block)) to the list
+    it returns for every block generator seeded: (stream, block) is a
+    block's one identity, in any chunking."""
+    rng, calls = paths._rng, []
+
+    def seeded(seed, stream, block):
+        calls.append((tag(), (stream, block)))
+        return rng(seed, stream, block)
+
+    monkeypatch.setattr(paths, "_rng", seeded)
+    return calls
+
+
+def _check_schedules(monkeypatch, run):
     # Bitwise the same result whether the two threads interleave, the
-    # calling thread takes every block, or the worker does.
-    step, calls = getattr(paths, hook), []
-
-    def counting(rows, start, *args):
-        calls.append(start // paths._PATH_BLOCK)
-        return step(rows, start, *args)
-
-    monkeypatch.setattr(paths, hook, counting)
-    runs = [run()]
-    monkeypatch.setattr(paths, "_worker", _IdlePool())
-    runs.append(run())
-    pool = _EagerPool(calls)
-    monkeypatch.setattr(paths, "_worker", pool)
-    runs.append(run())
-    assert pool.taken == 6  # 5 blocks of 256 paths and one of 20
+    # calling thread takes every block, or the worker does; each run
+    # draws six blocks.
+    with monkeypatch.context() as patch:
+        calls = _recording_rng(patch)
+        runs = [run()]
+        patch.setattr(paths, "_worker", _IdlePool())
+        runs.append(run())
+        pool = _EagerPool(calls)
+        patch.setattr(paths, "_worker", pool)
+        runs.append(run())
+    assert pool.taken == 6
     for got in runs[1:]:
         for a, b in zip(_arrays(got), _arrays(runs[0])):
             assert np.array_equal(a, b)
 
 
-# Two chunks of 1300 paths, 1280 and 20: the six blocks of
-# `_check_schedules`, the last one on substream 1.
-_SCHEDULE_CHUNK = 1280
+# Two chunkings of 1300 paths into six blocks: 1280 + 20, the last
+# block on substream 1, and 1044 + 256, where chunk 1's one block
+# starts inside the fifth block of 256 paths.
+_SCHEDULE_CHUNKS = (1280, 1044)
 
 
 @pytest.mark.parametrize("measure", ["plain"])  # its only measure
 def test_sample_endpoints_do_not_depend_on_schedule(monkeypatch, measure):
-    _check_schedules(monkeypatch, "_reduce_rows", lambda: (
-        paths.sample_endpoints(40, 1e-3, 1.0, 5, 1300,
-                               chunk=_SCHEDULE_CHUNK)))
+    for chunk in _SCHEDULE_CHUNKS:
+        _check_schedules(monkeypatch, lambda: paths.sample_endpoints(
+            40, 1e-3, 1.0, 5, 1300, chunk=chunk))
 
 
 @pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_phase_sums_do_not_depend_on_schedule(monkeypatch, measure):
-    _check_schedules(monkeypatch, "_project_rows", lambda: (
-        paths._phase_sums(measure, 40, 1e-3, 1.0, 5, 1300,
-                          chunk=_SCHEDULE_CHUNK)))
+    for chunk in _SCHEDULE_CHUNKS:
+        _check_schedules(monkeypatch, lambda: paths._phase_sums(
+            measure, 40, 1e-3, 1.0, 5, 1300, chunk=chunk))
 
 
 @pytest.mark.parametrize("measure", ["plain", "modified"])
 def test_sampled_records_do_not_depend_on_schedule(monkeypatch, measure):
-    _check_schedules(monkeypatch, "_store_rows", lambda: SAMPLERS[measure](
+    _check_schedules(monkeypatch, lambda: SAMPLERS[measure](
         40, 1e-3, 1.0, 5, n_paths=1300, stream=1))
 
 
@@ -875,8 +919,6 @@ def _kraus_dense_oracle(path, dim):
 
 @pytest.mark.parametrize("N", [1, 63, 64, 65, 500])
 def test_kraus_matches_dense_oracle(N):
-    # Factors are built 64 steps at a time: one step, one short of a
-    # block, one block, a block plus one, and many blocks plus a tail.
     path = paths.sample_wiener(N, 1e-3, 1.0, seed=40 + N)
     got = fock.interior_block(paths.kraus_time_ordered(path, 24))
     want = fock.interior_block(_kraus_dense_oracle(path, 24))
@@ -908,32 +950,31 @@ def _kraus_loop_oracle(path, dim):
     return product
 
 
+def _check_kraus_against_loop(path, dim):
+    # The composed coordinates are exact under truncation: the product
+    # equals the top block of the factors' product at a much larger
+    # dim, where the truncation has not reached the top block.
+    got = paths.kraus_time_ordered(path, dim)
+    want = _kraus_loop_oracle(path, 80)[:dim, :dim]
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("N", [1, 63, 64, 65, 500, 2000])
 def test_kraus_tree_matches_loop(N):
-    # The pairwise tree inside and across 64-step blocks reorders the
-    # products only.
-    path = paths.sample_wiener(N, 1e-3, 1.0, seed=60 + N)
-    got = paths.kraus_time_ordered(path, 20)
-    want = _kraus_loop_oracle(path, 20)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    _check_kraus_against_loop(paths.sample_wiener(N, 1e-3, 1.0, seed=60 + N),
+                              20)
+
+
+def test_kraus_matches_loop_at_tiny_step():
+    # kappa dt = 1e-9: g and the centre coefficient near their limits.
+    _check_kraus_against_loop(paths.sample_wiener(300, 1e-9, 1.0, seed=61),
+                              16)
 
 
 def test_kraus_empty_record_is_identity():
     path = paths.WienerPath(dt=1e-3, kappa=1.0,
                             increments=np.zeros(0, complex))
     assert np.array_equal(paths.kraus_time_ordered(path, 6), np.eye(6))
-
-
-def test_kraus_does_not_depend_on_schedule(monkeypatch):
-    # Bitwise the same product whether the two threads interleave, the
-    # calling thread takes every block, or the worker does.
-    path = paths.sample_wiener(700, 1e-3, 1.0, seed=45)
-    want = paths.kraus_time_ordered(path, 16)
-    blocking = _BlockingPool()
-    for pool in (_IdlePool(), blocking):
-        monkeypatch.setattr(paths, "_worker", pool)
-        assert np.array_equal(paths.kraus_time_ordered(path, 16), want)
-    blocking.shutdown()
 
 
 def test_channel_does_not_depend_on_schedule(monkeypatch):
@@ -962,53 +1003,15 @@ def test_channel_does_not_depend_on_schedule(monkeypatch):
     blocking.shutdown()
 
 
-@pytest.mark.parametrize("N", [1, 63, 64, 65, 500])
-@pytest.mark.parametrize("dim", [1, 2, 24])
-def test_kraus_factors_equal_represent(N, dim):
-    # One ladder and its conjugate give the factors of group._represent
-    # with mu = nu, bit for bit.
-    path = paths.sample_wiener(N, 2.5e-4, 1.0, seed=70 + N)
-    eps = 2 * path.dt
-    c = path.increments
-    nu = -np.expm1(-eps) / eps * c
-    z = np.abs(c) ** 2 * paths._kraus_centre(eps)
-    want = group._represent(nu, eps, z, nu, dim)
-    got = paths._kraus_factors(nu, eps, z, dim)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("N", [1, 64])
-def test_kraus_single_block_uses_no_worker(monkeypatch, N):
-    path = paths.sample_wiener(N, 1e-3, 1.0, seed=46)
-    want = paths.kraus_time_ordered(path, 12)
-    monkeypatch.setattr(paths, "_worker", _RefusingPool())
-    assert np.array_equal(paths.kraus_time_ordered(path, 12), want)
-
-
-def test_kraus_huge_increment_raises(monkeypatch):
+def test_kraus_huge_increment_raises():
+    # The overflow is reported as a domain error, with no warning.
     dw = np.zeros(100, complex)
     dw[70] = 1e200
     path = paths.WienerPath(dt=1e-3, kappa=1.0, increments=dw)
-    with pytest.raises(fock.NumericalDomainError):
-        paths.kraus_time_ordered(path, 12)
-    # The worker takes both blocks: the overflow in block 1 is raised on
-    # the calling thread, with no warning on either thread.
-    factors, threads = paths._kraus_factors, []
-
-    def spy(*args):
-        threads.append(threading.current_thread())
-        return factors(*args)
-
-    pool = _BlockingPool()
-    monkeypatch.setattr(paths, "_worker", pool)
-    monkeypatch.setattr(paths, "_kraus_factors", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(fock.NumericalDomainError):
             paths.kraus_time_ordered(path, 12)
-    assert len(threads) == 2
-    assert threading.current_thread() not in threads
-    pool.shutdown()
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 2.5e-4, 2e-3, 0.1, 1.0])
