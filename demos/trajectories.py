@@ -1,10 +1,12 @@
 """Simulate one measurement record and cross-check every route to it.
 
 A single record of complex Wiener increments drives the group-valued
-diffusion.  The same endpoint is computed four ways: the exact
+diffusion.  The same endpoint is reached four ways: the exact
 one-increment recursion, the stochastic-integral closed forms, the
-Cartan-chart SDE integration, and the time-ordered Kraus product in a
-truncated Fock representation.
+Cartan trajectory (the chart transform of the recursion's HC points,
+checked against the Cartan decomposition built from dense
+displacements), and the time-ordered Kraus product in a truncated Fock
+representation.
 """
 
 import numpy as np
@@ -34,19 +36,25 @@ dev = max(abs(end.nu - closed.nu), abs(end.mu - closed.mu),
           abs(end.z - closed.z))
 print(f"closed-form sums deviate by {dev:.2e}")
 
-# Route 3: integrate in the Cartan chart and transform back.
+# Route 3: the Cartan trajectory is the chart transform of the HC scan,
+# as both charts decompose one group element.  Its endpoint builds
+# D_beta e^{i phi - Ho r - ell} D_alpha_dag from dense displacements,
+# whose top block must equal the represented HC endpoint.
+DIM, BIG = 24, 80
 cartan = paths.propagate_sde(path, chart="cartan")
-ref = group.hc_to_cartan(end)
-print(f"\nCartan endpoint: beta={cartan.beta[-1]:.6f}  "
-      f"alpha={cartan.alpha[-1]:.6f}")
-print(f"cross-chart deviation: beta {abs(cartan.beta[-1] - ref.beta):.2e}, "
-      f"ell {abs(cartan.ell[-1] - ref.ell):.2e}")
-f_gauge, _ = group.gauge_functions(end)
-print(f"ell = s - f residual: {abs(cartan.ell[-1] - (end.s - f_gauge)):.2e}")
+y = group.CartanCoords(**{name: value[-1]
+                          for name, value in vars(cartan).items()})
+print(f"\nCartan endpoint: beta={y.beta:.6f}  alpha={y.alpha:.6f}")
+print(f"                 ell={y.ell:.6f}  phi={y.phi:.6f}")
+middle = np.exp(1j * y.phi - y.ell - (np.arange(BIG) + 0.5) * y.r)
+dense = ((fock.displacement_operator(BIG, y.beta) * middle)
+         @ fock.displacement_operator(BIG, y.alpha).conj().T)[:DIM, :DIM]
+rep_end = group.represent(end, DIM)
+print("dense Cartan decomposition vs represented HC endpoint: "
+      f"{np.max(np.abs(dense - rep_end)) / np.max(np.abs(rep_end)):.2e}")
 
 # Route 4: the time-ordered Kraus product converges to the represented
 # closed form at O(dt) on a fixed Brownian record.
-DIM = 24
 product = paths.kraus_time_ordered(path, DIM)
 rep = group.represent(closed, DIM)
 err = (np.linalg.norm(fock.interior_block(product - rep))

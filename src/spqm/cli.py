@@ -91,6 +91,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_moments(args):
+    # The RK4 keeps all its 1000 states per unit of kappa T.
+    if args.kappa * args.t_final > 100:
+        raise ValueError(f"moments integrates kappa T up to 100, got "
+                         f"{args.kappa * args.t_final}")
     steps = max(100, int(round(1000 * args.kappa * args.t_final)))
     times, n, m, q = moments.riccati_integrate(args.kappa, args.t_final, steps)
     kts = args.kappa * times

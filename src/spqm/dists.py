@@ -168,35 +168,27 @@ def density_cartan_reduced(point, kT):
     return DensityValue(prefactor=prefactor, gaussian_exponent=exponent)
 
 
-def density_hc_reduced(point, kT, variables="hc"):
+def density_hc_reduced(point, kT):
     """On-shell HC-form reduced density B.
 
     The exponent splits over the uncorrelated sum and difference
-    variables.  Both variable forms are implemented and agree on the
-    same coset:
+    variables, written in the coset's Cartan pair:
 
-        hc:     -|nu+mu|^2 e^{kT}/(4 sinh kT)
-                -|nu-mu|^2 e^{kT}(1+kT)/(4 cosh kT Sigma)
-        cartan: -|beta+alpha|^2 e^{-kT} sinh kT
-                -|beta-alpha|^2 e^{-kT} cosh kT (1+kT)/Sigma
+        -|beta+alpha|^2 e^{-kT} sinh kT
+        -|beta-alpha|^2 e^{-kT} cosh kT (1+kT)/Sigma
 
-    Both forms are evaluated in decaying factors (e^{-kT} sinh kT =
-    (1 - e^{-2kT})/2 and so on), so they are finite at any kT > 0.
+    (in its HC pair, -|nu+mu|^2 e^{kT}/(4 sinh kT)
+    -|nu-mu|^2 e^{kT}(1+kT)/(4 cosh kT Sigma)).  It is evaluated in
+    decaying factors (e^{-kT} sinh kT = (1 - e^{-2kT})/2 and so on), so
+    it is finite at any kT > 0.
     """
     _check_on_shell(point, kT)
     sigma = sigma_width(kT)
     prefactor = _prefactor(kT, sigma)
     odd, even = -np.expm1(-2 * kT), 1 + np.exp(-2 * kT)
-    if variables == "hc":
-        plus = np.abs(point.nu + point.mu) ** 2
-        minus = np.abs(point.nu - point.mu) ** 2
-        exponent = -(plus / (2 * odd) + minus * (1 + kT) / (2 * even * sigma))
-    elif variables == "cartan":
-        plus = np.abs(point.beta + point.alpha) ** 2
-        minus = np.abs(point.beta - point.alpha) ** 2
-        exponent = -(plus * odd / 2 + minus * even * (1 + kT) / (2 * sigma))
-    else:
-        raise ValueError(f"unknown variable form {variables!r}")
+    plus = np.abs(point.beta + point.alpha) ** 2
+    minus = np.abs(point.beta - point.alpha) ** 2
+    exponent = -(plus * odd / 2 + minus * even * (1 + kT) / (2 * sigma))
     return DensityValue(prefactor=prefactor, gaussian_exponent=exponent)
 
 
@@ -216,7 +208,7 @@ def gauge_relation_residual(point, kT):
                          beta=np.clongdouble(point.beta),
                          alpha=np.clongdouble(point.alpha))
     c = density_cartan_reduced(point, kT)
-    b = density_hc_reduced(point, kT, variables="cartan")
+    b = density_hc_reduced(point, kT)
     f, _ = group.gauge_functions(group.CartanCoords(
         beta=point.beta, phi=0.0, r=point.r, ell=0.0, alpha=point.alpha))
     log_ratio = 2 * f + b.gaussian_exponent - c.gaussian_exponent

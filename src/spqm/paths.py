@@ -3,10 +3,12 @@
 The measurement record is a sequence of complex increments
 dw = (dW^q + i dW^p)/sqrt(2) with <|dw|^2> = dt under the plain Wiener
 measure.  This module draws such records (plain and modified measure),
-integrates the resulting SDEs in either chart, evaluates the
-stochastic-integral closed forms for the endpoint, and forms the
-time-ordered Kraus product in a truncated Fock representation, as one
-`group.represent` of its composed HC coordinates.
+integrates the resulting SDEs in the HC chart as a scan of the exact
+one-increment recursion, gives the Cartan trajectory as the chart
+transform of that scan, evaluates the stochastic-integral closed forms
+for the endpoint, and forms the time-ordered Kraus product in a
+truncated Fock representation, as one `group.represent` of its
+composed HC coordinates.
 
 Inside the samplers a block of records is a real array of rows, each
 path's real row followed by its imaginary row, as the generator draws
@@ -34,7 +36,7 @@ import itertools
 import math
 import threading
 from concurrent import futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -417,14 +419,10 @@ def propagate_sde(path, chart="hc"):
     r = 2 kappa dt k.
 
     The Cartan chart gives one `CartanCoords` of N points from t = dt,
-    as the chart is singular at t = 0: the transform of the HC scan,
-    whose ell and phi are then replaced by the transform's seed at
-    t = dt plus cumulative sums of discretely consistent kernels.  The
-    singular csch/coth coefficients of the continuum SDEs become their
-    exact one-increment counterparts, which agree with the continuum
-    forms to O(dt) at fixed t but stay finite through the early steps
-    where 2 kappa t is itself O(dt); a naive Euler scheme accumulates an
-    O(1) endpoint error in ell there no matter how small dt is.
+    as the chart is singular at t = 0: `group.hc_to_cartan` of the HC
+    scan's points after the identity.  The two charts decompose one
+    group element, so the Cartan SDEs integrate exactly to the
+    transform, whose decaying factors keep it finite at any kappa T.
     """
     dw = np.asarray(path.increments)
     if dw.ndim != 1:
@@ -442,36 +440,8 @@ def propagate_sde(path, chart="hc"):
                                         + nu[:-1] * np.conj(root))))
     if chart == "hc":
         return group.HCCoords(nu=nu, r=r, z=z, mu=mu)
-
-    y = group.hc_to_cartan(group.HCCoords(nu=nu[1:], r=r[1:], z=z[1:],
-                                          mu=mu[1:]))
-    # Step k = 1 .. N-1 takes the HC point at r_k to the one at r_{k+1}.
-    nu, mu, root = nu[1:-1], mu[1:-1], root[1:]
-    u, v = np.exp(-r[1:-1]), np.exp(-r[2:])
-    # 1/(2 sinh r) at r_k and at r_{k+1}, in decaying factors.
-    csch = np.exp(-r[1:]) / -np.expm1(-2 * r[1:])
-    csch_r, csch_next = csch[:-1], csch[1:]
-
-    # The singular continuum kernels coth/csch(2 kappa t) appear in the
-    # center increments through these discrete counterparts, written in
-    # the phase-plane difference variables p = nu + mu, m = nu - mu.
-    plus, minus = nu + mu, nu - mu
-    plus_next = plus - (1 - d) * nu
-    minus_next = minus - (1 - d) * nu
-    coth_disc = (u + v) ** 2 / (2 * (1 - v ** 2)) + 1
-    b_noise = ((1 + u) * plus_next / (4 * (1 - v))
-               + (1 - u) * minus_next / (4 * (1 + v)) + nu / 2)
-    drift = (np.abs(plus_next) ** 2 / (4 * (1 - v))
-             - np.abs(plus) ** 2 / (4 * (1 - u))
-             + np.abs(minus_next) ** 2 / (4 * (1 + v))
-             - np.abs(minus) ** 2 / (4 * (1 + u)))
-    d_ell = -(coth_disc * kappa * np.abs(dw[1:]) ** 2 + drift
-              + 2 * np.real(np.conj(b_noise) * root))
-    d_phi = (np.imag(nu * np.conj(root)) * (1 + d * u * csch_next)
-             - np.imag(mu * np.conj(root)) * csch_next
-             - np.imag(np.conj(nu) * mu) * (d * csch_next - csch_r))
-    return replace(y, ell=np.cumsum(np.concatenate((y.ell[:1], d_ell))),
-                   phi=np.cumsum(np.concatenate((y.phi[:1], d_phi))))
+    return group.hc_to_cartan(group.HCCoords(nu=nu[1:], r=r[1:], z=z[1:],
+                                             mu=mu[1:]))
 
 
 def _block_weights(rho, n):

@@ -4,7 +4,7 @@ Each check exercises one headline identity of the library at fixed
 parameters and tolerances and reports pass/fail with a short detail
 string.  The suite is deterministic: every Monte Carlo check derives
 its randomness from a fixed seed.  `run_all` executes everything
-(about a minute); the CLI `verify` subcommand and the acceptance
+(about 6 s); the CLI `verify` subcommand and the acceptance
 tests both drive this module.
 """
 
@@ -100,26 +100,34 @@ def check_recursion_vs_sums():
     return err <= 1e-10, f"max per-path deviation {err:.2e} (tol 1e-10)"
 
 
-def check_cross_chart():
-    """Cartan-integrated SDE matches the transformed HC trajectory.
+def check_cartan_points():
+    """Cartan trajectory points decompose the HC trajectory's points.
 
-    It compares ell and phi alone, which the Cartan chart integrates
-    by kernels of its own: its beta and alpha are the transform of the
-    HC scan, equal by construction (`test_propagate_cartan_equals_step_loop`
-    checks them at every step), and the transform's ell is s - f.
+    At kT = 0.5, 1 and 2 on three records, D_beta e^{i phi - Ho r - ell}
+    D_alpha_dag from dense displacements at dim 80 must equal, on its
+    top 24 x 24 block, `group.represent` of the HC point.  Neither chart
+    transform enters this reference, so it tests the one that gives the
+    Cartan trajectory (`paths.propagate_sde`).
     """
-    dt, N = 1e-3, 2000  # kT = 2
-    tol = 10 * dt
+    dt, N, dim, big = 1e-3, 2000, 24, 80
+    levels = np.arange(big) + 0.5
     worst = 0.0
     for seed in (11, 12, 13):
         path = paths.sample_wiener(N, dt, 1.0, seed=seed)
         hc = paths.propagate_sde(path, chart="hc")
-        ref = group.hc_to_cartan(group.HCCoords(
-            nu=hc.nu[-1], r=hc.r[-1], z=hc.z[-1], mu=hc.mu[-1]))
         cartan = paths.propagate_sde(path, chart="cartan")
-        worst = max(worst, abs(cartan.ell[-1] - ref.ell),
-                    abs(cartan.phi[-1] - ref.phi))
-    return worst <= tol, f"worst endpoint error {worst:.2e} (tol {tol:.0e})"
+        for k in (500, 1000, 2000):  # kT = 0.5, 1, 2; Cartan point k - 1
+            y = group.CartanCoords(**{name: value[k - 1]
+                                      for name, value in vars(cartan).items()})
+            middle = np.exp(1j * y.phi - y.ell - levels * y.r)
+            dense = ((fock.displacement_operator(big, y.beta) * middle)
+                     @ fock.displacement_operator(big, y.alpha).conj().T)
+            want = group.represent(group.HCCoords(
+                nu=hc.nu[k], r=hc.r[k], z=hc.z[k], mu=hc.mu[k]), dim)
+            worst = max(worst, np.max(np.abs(dense[:dim, :dim] - want))
+                        / np.max(np.abs(want)))
+    return worst <= 1e-12, (f"worst top-block error {worst:.2e} of max|R| "
+                            "(tol 1e-12)")
 
 
 def check_plain_isometry():
@@ -277,14 +285,30 @@ def _kraus_error(path, dim):
     return np.linalg.norm(diff) / np.linalg.norm(fock.interior_block(reference))
 
 
-def check_kraus_product():
-    """Time-ordered product converges to the closed-form representation.
+def _kraus_step_product(path, dim):
+    """The factors of `paths.kraus_time_ordered`, multiplied one at a time."""
+    eps = 2 * path.kappa * path.dt
+    c = np.sqrt(path.kappa) * path.increments
+    gc = -np.expm1(-eps) / eps * c
+    factors = group.represent(group.HCCoords(
+        nu=gc, r=eps, z=paths._kraus_centre(eps) * np.abs(c) ** 2, mu=gc), dim)
+    product = np.eye(dim, dtype=complex)
+    for factor in factors:
+        product = factor @ product
+    return product
 
-    The error must shrink by at least 2x under dt -> dt/4 (half-order
-    convergence would give exactly 2x).  The rate is first order, ratio
-    ~4: the product's coordinates are (g nu, r, g^2 z +
-    (kappa_c - g^2/2) S, g mu) with (nu, r, z, mu) the closed form and
-    S = kappa sum |dw|^2 (`paths.kraus_time_ordered`), and with
+
+def check_kraus_product():
+    """Time-ordered product: the step-by-step one, and its convergence.
+
+    It must equal the top 24 x 24 block of its per-step factors
+    multiplied one at a time at dim 48 (`_kraus_step_product`, which
+    shares `paths._kraus_centre` with it).  Its error against the
+    represented closed form must shrink by at least 2x under
+    dt -> dt/4 (half-order convergence would give exactly 2x).  The
+    rate is first order, ratio ~4: the product's coordinates are
+    (g nu, r, g^2 z + (kappa_c - g^2/2) S, g mu) with (nu, r, z, mu)
+    the closed form and S = kappa sum |dw|^2, and with
     eps = 2 kappa dt, g = 1 - eps/2 + O(eps^2) and
     kappa_c - g^2/2 = eps/3 + O(eps^2).  So every coordinate is off
     by a deterministic O(dt) multiple of its closed-form value, not by
@@ -292,13 +316,17 @@ def check_kraus_product():
     """
     dim = 24
     path = paths.sample_wiener(500, 1e-3, 1.0, seed=555)
+    want = _kraus_step_product(path, 2 * dim)[:dim, :dim]
+    step = (np.linalg.norm(paths.kraus_time_ordered(path, dim) - want)
+            / np.linalg.norm(want))
     coarse = _kraus_error(path, dim)
     fine = _kraus_error(paths.refine_path(path, 4, seed=556), dim)
     ratio = coarse / fine
-    passed = coarse <= 0.05 and ratio >= 2.0
+    passed = step <= 1e-12 and coarse <= 0.05 and ratio >= 2.0
     return passed, (f"relative error {coarse:.2e} at dt=1e-3 (tol 0.05), "
                     f"dt -> dt/4 error ratio {ratio:.2f} "
-                    "(want >= 2; ~4 = first order)")
+                    "(want >= 2; ~4 = first order); "
+                    f"vs step-by-step product {step:.2e} (tol 1e-12)")
 
 
 def check_frame_derivatives():
@@ -346,7 +374,7 @@ CHECKS = [
     (3, "Schur determinant vs dense and closed form", check_determinant),
     (4, "kernel-inverse persymmetry and n=m", check_persymmetry),
     (5, "recursion vs stochastic-integral sums", check_recursion_vs_sums),
-    (6, "cross-chart SDE integration", check_cross_chart),
+    (6, "Cartan trajectory vs dense decomposition", check_cartan_points),
     (7, "plain-measure Ito isometry (MC)", check_plain_isometry),
     (8, "modified-measure covariance and moment (MC)", check_modified_measure),
     (9, "Feynman-Kac normalization E[e^(-2s)] = N(kT) (MC)",

@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner."""
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -60,6 +61,25 @@ def test_moments_closed_form_row(tmp_path):
     last = rows[-1].split(",")
     assert abs(float(last[0]) - 5.0) <= 1e-12
     assert abs(float(last[1]) - 5 / 6) <= 1e-6  # n(5) = kT/(1+kT)
+
+
+def test_moments_past_ceiling_is_usage_error(capsys):
+    # kappa T = 1000 would take a million RK4 steps; refused at once.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["moments", "--t-final", "1000"])
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 2
+    assert "kappa T up to 100" in capsys.readouterr().err
+
+
+def test_moments_at_ceiling_writes_rows(tmp_path):
+    out = tmp_path / "moments.csv"
+    assert cli.main(["moments", "--t-final", "100", "--out", str(out)]) == 0
+    _, rows = _read_output(out)
+    last = rows[-1].split(",")
+    assert abs(float(last[0]) - 100.0) <= 1e-9
+    assert abs(float(last[1]) - 100 / 101) <= 1e-6  # n = kT/(1+kT)
 
 
 def test_moments_json_rows(tmp_path):

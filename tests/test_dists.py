@@ -50,8 +50,7 @@ def test_densities_finite_at_vanishing_kt(kT):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [dists.density_cartan_reduced(point, kT),
-                  dists.density_hc_reduced(point, kT, variables="hc"),
-                  dists.density_hc_reduced(point, kT, variables="cartan")]
+                  dists.density_hc_reduced(point, kT)]
     for value in values:
         assert np.isfinite(value.prefactor) and value.prefactor > 0
         assert np.isfinite(value.gaussian_exponent)
@@ -86,15 +85,12 @@ def test_densities_finite_at_every_kt(kT):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [dists.density_cartan_reduced(point, kT),
-                  dists.density_hc_reduced(point, kT, variables="hc"),
-                  dists.density_hc_reduced(point, kT, variables="cartan")]
+                  dists.density_hc_reduced(point, kT)]
         plus, minus = moments.analytic_sum_difference(kT)
     for value in values:
         assert np.isfinite(value.prefactor) and value.prefactor >= 0
         assert np.isfinite(value.gaussian_exponent)
         assert value.gaussian_exponent <= 0
-    assert values[1].gaussian_exponent == pytest.approx(
-        values[2].gaussian_exponent, rel=1e-9)
     assert np.isfinite(plus) and np.isfinite(minus) and 0 < minus < plus <= 1
 
 
@@ -142,16 +138,6 @@ def test_density_cartan_translation_invariant():
     assert abs(va.value - vb.value) <= 1e-12 * va.value
 
 
-@settings(max_examples=50, deadline=None)
-@given(coord, coord, coord, coord, st.floats(0.2, 4.0))
-def test_density_hc_variable_forms_agree(b1, b2, a1, a2, kT):
-    point = dists.ReducedPoint(r=2 * kT, beta=b1 + 1j * b2, alpha=a1 + 1j * a2)
-    hc = dists.density_hc_reduced(point, kT, variables="hc")
-    cartan = dists.density_hc_reduced(point, kT, variables="cartan")
-    assert abs(hc.gaussian_exponent - cartan.gaussian_exponent) <= 1e-12 * max(
-        1.0, abs(hc.gaussian_exponent))
-
-
 def _reduced_quadrature(kT, nodes=32):
     """Moments of B over the coset measure e^{2r}/(2pi)^2 d2nu d2mu.
 
@@ -179,7 +165,7 @@ def _reduced_quadrature(kT, nodes=32):
     m = (m1 + 1j * m2) / np.sqrt(2)
     nu, mu = (p + m) / 2, (p - m) / 2
     point = dists.ReducedPoint.from_hc(2 * kT, nu, mu)
-    density = dists.density_hc_reduced(point, kT, variables="hc").value
+    density = dists.density_hc_reduced(point, kT).value
     # d2nu d2mu = (1/4) d2p d2m with d2p = (1/2) dp1 dp2, and the coset
     # volume carries e^{2r}/(2pi)^2.
     measure = np.exp(4 * kT) / (2 * np.pi) ** 2 / 16

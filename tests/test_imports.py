@@ -14,7 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # One small call per layer, as the benchmark's warm-up makes, then the
-# channel Monte Carlo and its verify check.
+# channel Monte Carlo and its verify check, and the checks whose dense
+# references are built from `fock.displacement_operator` (eigh) and
+# `group.represent` alone.
 SCRIPT = """
 import sys
 import threading
@@ -34,7 +36,8 @@ povm.partition_function_check(1.0, 8)
 rho = np.zeros((4, 4), dtype=complex)
 rho[0, 0] = 1.0
 povm.channel_monte_carlo(rho, 0.01, 20, 1e-3, 4, 2)
-assert verify.run_check(14).passed
+for number in (6, 14, 15):
+    assert verify.run_check(number).passed, number
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 

@@ -11,7 +11,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from spqm import fock, group, moments, paths, povm
+from spqm import fock, group, moments, paths, povm, verify
 
 
 def test_sample_wiener_statistics():
@@ -149,9 +149,10 @@ def test_propagate_hc_equals_recursion_at_every_step(N, dt, kappa):
 
 
 def _cartan_loop_oracle(path):
-    """Reference: the Cartan chart stepped one increment at a time, each
-    step recovering the HC pair from (beta, alpha) and advancing ell and
-    phi by the discrete kernels of `propagate_sde`."""
+    """Reference: the independent step-by-step discretisation of the
+    Cartan SDE, one increment at a time, each step recovering the HC
+    pair from (beta, alpha) and advancing ell and phi by the discrete
+    counterparts of the singular coth/csch kernels."""
     dw, kappa, dt = path.increments, path.kappa, path.dt
     y = group.hc_to_cartan(group.increment_left_multiply(
         group.HCCoords.identity(), dw[0], kappa, dt))
@@ -936,26 +937,12 @@ def test_kraus_factor_matches_dense_generator(dt, dw):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _kraus_loop_oracle(path, dim):
-    """Reference: the same factors, multiplied in one at a time."""
-    eps = 2 * path.kappa * path.dt
-    c = np.sqrt(path.kappa) * path.increments
-    nu = -np.expm1(-eps) / eps * c
-    factors = group.represent(group.HCCoords(
-        nu=nu, r=eps, z=np.abs(c) ** 2 * paths._kraus_centre(eps), mu=nu),
-        dim)
-    product = np.eye(dim, dtype=complex)
-    for factor in factors:
-        product = factor @ product
-    return product
-
-
 def _check_kraus_against_loop(path, dim):
     # The composed coordinates are exact under truncation: the product
     # equals the top block of the factors' product at a much larger
     # dim, where the truncation has not reached the top block.
     got = paths.kraus_time_ordered(path, dim)
-    want = _kraus_loop_oracle(path, 80)[:dim, :dim]
+    want = verify._kraus_step_product(path, 80)[:dim, :dim]
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
