@@ -3,10 +3,10 @@
 A single record of complex Wiener increments drives the group-valued
 diffusion.  The same endpoint is reached four ways: the exact
 one-increment recursion, the stochastic-integral closed forms, the
-Cartan trajectory (the chart transform of the recursion's HC points,
-checked against the Cartan decomposition built from dense
-displacements), and the time-ordered Kraus product in a truncated Fock
-representation.
+Cartan trajectory (`group.hc_to_cartan` of the recursion's HC points
+after the identity, checked against the dense Cartan decomposition
+`fock.cartan_decomposition`), and the time-ordered Kraus product in a
+truncated Fock representation.
 """
 
 import numpy as np
@@ -23,9 +23,8 @@ print(f"record: N={N}, dt={DT}, kappa={KAPPA}, kT={KAPPA * DT * N}")
 
 # Route 1: scan the exact recursion in the HC chart; the trajectory is
 # one HCCoords whose fields hold the N + 1 points.
-traj = paths.propagate_sde(path, chart="hc")
-end = group.HCCoords(nu=traj.nu[-1], r=traj.r[-1], z=traj.z[-1],
-                     mu=traj.mu[-1])
+traj = paths.propagate_sde(path)
+end = traj[-1]
 print(f"\nHC endpoint:  nu={end.nu:.6f}  mu={end.mu:.6f}")
 print(f"              r={end.r:.3f}  s={end.s:.6f}  psi={end.psi:.6f}")
 
@@ -36,19 +35,16 @@ dev = max(abs(end.nu - closed.nu), abs(end.mu - closed.mu),
           abs(end.z - closed.z))
 print(f"closed-form sums deviate by {dev:.2e}")
 
-# Route 3: the Cartan trajectory is the chart transform of the HC scan,
-# as both charts decompose one group element.  Its endpoint builds
-# D_beta e^{i phi - Ho r - ell} D_alpha_dag from dense displacements,
-# whose top block must equal the represented HC endpoint.
+# Route 3: the Cartan trajectory is the chart transform of the HC scan's
+# points after the identity, as both charts decompose one group element.
+# The dense decomposition D_beta e^{i phi - Ho r - ell} D_alpha_dag of
+# its endpoint must equal the represented HC endpoint on the top block.
 DIM, BIG = 24, 80
-cartan = paths.propagate_sde(path, chart="cartan")
-y = group.CartanCoords(**{name: value[-1]
-                          for name, value in vars(cartan).items()})
+y = group.hc_to_cartan(traj[1:])[-1]
 print(f"\nCartan endpoint: beta={y.beta:.6f}  alpha={y.alpha:.6f}")
 print(f"                 ell={y.ell:.6f}  phi={y.phi:.6f}")
-middle = np.exp(1j * y.phi - y.ell - (np.arange(BIG) + 0.5) * y.r)
-dense = ((fock.displacement_operator(BIG, y.beta) * middle)
-         @ fock.displacement_operator(BIG, y.alpha).conj().T)[:DIM, :DIM]
+dense = fock.cartan_decomposition(BIG, y.beta, y.phi, y.r, y.ell,
+                                  y.alpha)[:DIM, :DIM]
 rep_end = group.represent(end, DIM)
 print("dense Cartan decomposition vs represented HC endpoint: "
       f"{np.max(np.abs(dense - rep_end)) / np.max(np.abs(rep_end)):.2e}")

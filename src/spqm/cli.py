@@ -74,7 +74,7 @@ def _steps(args):
 def _cmd_simulate(args):
     n = _steps(args)
     path = paths.sample_wiener(n, args.dt, args.kappa, args.seed)
-    x = paths.propagate_sde(path, chart="hc")
+    x = paths.propagate_sde(path)
     closed = paths.closed_form_hc(path)
     deviation = max(abs(x.nu[-1] - closed.nu), abs(x.mu[-1] - closed.mu),
                     abs(x.z[-1] - closed.z))

@@ -7,8 +7,9 @@ exp(c a_dag), whose finite series is exact; comparisons with the dense
 routes, which carry a truncation artifact in the bottom rows, use the
 top-left "interior" block of size ``interior_dim(dim)``.  Those dense
 routes are test oracles: the displacement operator, exponentiated by
-the eigendecomposition of its Hermitian generator, and the general
-matrix exponential, the one place that imports scipy (inside the
+the eigendecomposition of its Hermitian generator, the Cartan
+decomposition built from two of them, and the general matrix
+exponential, the one place that imports scipy (inside the
 function, so that importing the package does not load it).
 """
 
@@ -22,6 +23,7 @@ __all__ = [
     "CanonicalOperators",
     "canonical_operators",
     "displacement_operator",
+    "cartan_decomposition",
     "matrix_exponential",
     "ladder_exponential",
     "interior_dim",
@@ -115,6 +117,17 @@ def displacement_operator(dim, alpha):
     generator = ops.a_dag * alpha - ops.a * np.conj(alpha)
     lam, vecs = np.linalg.eigh(1j * generator)
     return (vecs * np.exp(-1j * lam)) @ vecs.conj().T
+
+
+def cartan_decomposition(dim, beta, phi, r, ell, alpha):
+    """Dense D_beta e^{i phi - Ho r - ell} D_alpha_dag, a test oracle.
+
+    The element of scalar Cartan coordinates from two
+    `displacement_operator`s, with no chart transform.
+    """
+    middle = np.exp(1j * phi - ell - (np.arange(dim) + 0.5) * r)
+    return ((displacement_operator(dim, beta) * middle)
+            @ displacement_operator(dim, alpha).conj().T)
 
 
 def matrix_exponential(x):

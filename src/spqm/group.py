@@ -16,7 +16,7 @@ convention nu = (nu1 + i nu2)/sqrt(2), and the phase-plane measure is
 d2nu = (1/2) dnu1 dnu2 (likewise for mu, beta, alpha).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +55,24 @@ def _require_regular(r):
             f"Cartan chart is singular at r = 0; need r > {R_MIN}")
 
 
+class _Points:
+    """Array-style indexing shared by `HCCoords` and `CartanCoords`.
+
+    x[k], x[1:] or x[idx] index every array field and keep scalar ones,
+    such as the shared r of a batch of endpoints.  The constructor
+    runs, so a Cartan point checks its r; a single point has no index.
+    """
+
+    def __getitem__(self, index):
+        fields = vars(self)
+        if not any(np.ndim(value) for value in fields.values()):
+            raise IndexError("a single point has no index")
+        return type(self)(**{name: value[index] if np.ndim(value) else value
+                             for name, value in fields.items()})
+
+
 @dataclass(frozen=True)
-class HCCoords:
+class HCCoords(_Points):
     """Harish-Chandra coordinates (nu, r, z, mu), z = -s + i psi.
 
     Fields may be scalars or broadcastable arrays (batched elements).
@@ -81,7 +97,7 @@ class HCCoords:
 
 
 @dataclass(frozen=True)
-class CartanCoords:
+class CartanCoords(_Points):
     """Cartan coordinates (beta, phi, r, ell, alpha), r > 0."""
 
     beta: complex

@@ -372,6 +372,8 @@ def riccati_integrate(kappa, T, steps):
     length steps + 1.  Use at least ~100 steps per unit kappa*T.
     The stages are written out over Python floats.
     """
+    if not (0 < T < math.inf and 0 <= kappa < math.inf):
+        raise ValueError("need T > 0 and kappa >= 0, both finite")
     if steps < 1:
         raise ValueError("need at least one step")
     h = T / steps

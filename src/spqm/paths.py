@@ -4,11 +4,12 @@ The measurement record is a sequence of complex increments
 dw = (dW^q + i dW^p)/sqrt(2) with <|dw|^2> = dt under the plain Wiener
 measure.  This module draws such records (plain and modified measure),
 integrates the resulting SDEs in the HC chart as a scan of the exact
-one-increment recursion, gives the Cartan trajectory as the chart
-transform of that scan, evaluates the stochastic-integral closed forms
-for the endpoint, and forms the time-ordered Kraus product in a
-truncated Fock representation, as one `group.represent` of its
-composed HC coordinates.
+one-increment recursion (the Cartan trajectory is the chart transform
+`group.hc_to_cartan` of that scan's points after the identity),
+evaluates the stochastic-integral closed forms for the endpoint, and
+forms the time-ordered Kraus product in a truncated Fock
+representation, as one `group.represent` of its composed HC
+coordinates.
 
 Inside the samplers a block of records is a real array of rows, each
 path's real row followed by its imaginary row, as the generator draws
@@ -120,18 +121,6 @@ def _rng(seed, stream, block):
     """
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence([seed, stream, block])))
-
-
-def _complex_normal(rng, shape, dt):
-    """Complex Gaussians of shape `shape` with <|x|^2> = dt.
-
-    One real standard-normal draw with the last axis doubled, scaled in
-    place and viewed as interleaved (re, im) pairs, so the real and
-    imaginary parts are i.i.d. N(0, dt/2).
-    """
-    x = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
-    x *= np.sqrt(dt / 2)
-    return x.view(complex)
 
 
 class _Claims:
@@ -407,28 +396,25 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, chunk=None):
             sums[0::2, 1] + 1j * sums[1::2, 1])
 
 
-def propagate_sde(path, chart="hc"):
-    """Integrate the measurement SDEs along a single path.
+def propagate_sde(path):
+    """Integrate the measurement SDEs along a single path, in the HC chart.
 
-    Returns array-valued coordinates; point k lies at t = r/(2 kappa).
-    The HC chart gives one `HCCoords` of N + 1 points, from the identity
-    through each increment: the exact recursion of
-    `group.increment_left_multiply`, keeping the literal |dw|^2 term in
-    the center, as a scan.  nu runs nu <- rho nu + sqrt(kappa) dw over
-    Python complex numbers, mu and z are cumulative sums, and
-    r = 2 kappa dt k.
+    Returns one `HCCoords` of N + 1 points, from the identity through
+    each increment; point k lies at t = r/(2 kappa).  The recursion is
+    the exact one of `group.increment_left_multiply`, keeping the
+    literal |dw|^2 term in the center, as a scan: nu runs
+    nu <- rho nu + sqrt(kappa) dw over Python complex numbers, mu and z
+    are cumulative sums, and r = 2 kappa dt k.
 
-    The Cartan chart gives one `CartanCoords` of N points from t = dt,
-    as the chart is singular at t = 0: `group.hc_to_cartan` of the HC
-    scan's points after the identity.  The two charts decompose one
-    group element, so the Cartan SDEs integrate exactly to the
-    transform, whose decaying factors keep it finite at any kappa T.
+    The Cartan trajectory is `group.hc_to_cartan(traj[1:])`, the N
+    points from t = dt, as the chart is singular at t = 0.  The two
+    charts decompose one group element, so the Cartan SDEs integrate
+    exactly to the transform, whose decaying factors keep it finite at
+    any kappa T.
     """
     dw = np.asarray(path.increments)
     if dw.ndim != 1:
         raise ValueError("propagate_sde integrates one path at a time")
-    if chart not in ("hc", "cartan"):
-        raise ValueError(f"unknown chart {chart!r}")
     kappa, dt = path.kappa, path.dt
     d = math.exp(-2 * kappa * dt)
     root = np.sqrt(kappa) * dw
@@ -438,10 +424,7 @@ def propagate_sde(path, chart="hc"):
     mu = np.concatenate(([0j], np.cumsum(np.exp(-r[:-1]) * root)))
     z = np.concatenate(([0j], np.cumsum(0.5 * kappa * np.abs(dw) ** 2
                                         + nu[:-1] * np.conj(root))))
-    if chart == "hc":
-        return group.HCCoords(nu=nu, r=r, z=z, mu=mu)
-    return group.hc_to_cartan(group.HCCoords(nu=nu[1:], r=r[1:], z=z[1:],
-                                             mu=mu[1:]))
+    return group.HCCoords(nu=nu, r=r, z=z, mu=mu)
 
 
 def _block_weights(rho, n):
@@ -644,7 +627,12 @@ def refine_path(path, factor, seed):
         raise ValueError("refinement factor must be at least 2")
     dw = np.asarray(path.increments)
     dt_fine = path.dt / factor
-    g = _complex_normal(_rng(seed, 1, 0), dw.shape + (factor,), dt_fine)
+    # The spawn key keeps the bridge apart from every record generator
+    # `_rng(seed, stream, block)`.
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(1,))))
+    g = rng.standard_normal(dw.shape + (2 * factor,)).view(complex)
+    g *= np.sqrt(dt_fine / 2)
     g -= g.mean(axis=-1, keepdims=True)
     g += dw[..., None] / factor
     fine = g.reshape(dw.shape[:-1] + (dw.shape[-1] * factor,))

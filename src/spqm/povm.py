@@ -64,8 +64,8 @@ def partition_function_check(kT, dim):
     residual is |(1 - e^{-4kT}) sum_n e^{-4kT n} - 1| and the dropped
     tail, relative to the closed form, is e^{-2kT (2 dim - 1)}.
     """
-    if kT <= 0:
-        raise ValueError("need kT > 0")
+    if not (0 < kT < np.inf and dim >= 1):
+        raise ValueError("need kT > 0 and finite, and dim >= 1")
     powers = np.exp(-4 * kT * np.arange(dim))
     gap = -np.expm1(-4 * kT)
     return {
@@ -268,6 +268,8 @@ def late_time_coherent_residual(kT, beta, alpha, dim):
     late times the element collapses onto the outer product at rate
     e^{-2kT}; at beta = alpha = 0 the residual is exactly e^{-2kT}.
     """
+    if dim < 1:
+        raise ValueError("need dim >= 1")
     element = group.represent(group.CartanCoords(
         beta=beta, phi=0.0, r=2 * kT, ell=-kT, alpha=alpha), dim)
     pair = np.array([beta, alpha], dtype=complex)

@@ -103,27 +103,24 @@ def check_recursion_vs_sums():
 def check_cartan_points():
     """Cartan trajectory points decompose the HC trajectory's points.
 
-    At kT = 0.5, 1 and 2 on three records, D_beta e^{i phi - Ho r - ell}
-    D_alpha_dag from dense displacements at dim 80 must equal, on its
-    top 24 x 24 block, `group.represent` of the HC point.  Neither chart
-    transform enters this reference, so it tests the one that gives the
-    Cartan trajectory (`paths.propagate_sde`).
+    At kT = 0.5, 1 and 2 on three records, the Cartan trajectory is
+    `group.hc_to_cartan` of `paths.propagate_sde`'s points after the
+    identity.  The dense decomposition of a Cartan point at dim 80
+    (`fock.cartan_decomposition`) must equal, on its top 24 x 24 block,
+    `group.represent` of the HC point.  Neither chart transform enters
+    this reference, so it tests the one that gives the Cartan
+    trajectory.
     """
     dt, N, dim, big = 1e-3, 2000, 24, 80
-    levels = np.arange(big) + 0.5
     worst = 0.0
     for seed in (11, 12, 13):
-        path = paths.sample_wiener(N, dt, 1.0, seed=seed)
-        hc = paths.propagate_sde(path, chart="hc")
-        cartan = paths.propagate_sde(path, chart="cartan")
+        hc = paths.propagate_sde(paths.sample_wiener(N, dt, 1.0, seed=seed))
+        cartan = group.hc_to_cartan(hc[1:])
         for k in (500, 1000, 2000):  # kT = 0.5, 1, 2; Cartan point k - 1
-            y = group.CartanCoords(**{name: value[k - 1]
-                                      for name, value in vars(cartan).items()})
-            middle = np.exp(1j * y.phi - y.ell - levels * y.r)
-            dense = ((fock.displacement_operator(big, y.beta) * middle)
-                     @ fock.displacement_operator(big, y.alpha).conj().T)
-            want = group.represent(group.HCCoords(
-                nu=hc.nu[k], r=hc.r[k], z=hc.z[k], mu=hc.mu[k]), dim)
+            y = cartan[k - 1]
+            dense = fock.cartan_decomposition(big, y.beta, y.phi, y.r, y.ell,
+                                              y.alpha)
+            want = group.represent(hc[k], dim)
             worst = max(worst, np.max(np.abs(dense[:dim, :dim] - want))
                         / np.max(np.abs(want)))
     return worst <= 1e-12, (f"worst top-block error {worst:.2e} of max|R| "

@@ -97,6 +97,27 @@ def test_singular_chart_errors():
         group.CartanCoords(beta=0.0, phi=0.0, r=0.0, ell=0.0, alpha=0.0)
 
 
+def test_coordinates_index_like_arrays():
+    # Array fields are indexed, the shared scalar r kept; a single point
+    # has no index, so iterating stops after the last point.
+    nu = np.array([0.1, 0.2j, -0.3])
+    x = group.HCCoords(nu=nu, r=0.5, z=2 * nu, mu=-nu)
+    assert x[-1] == group.HCCoords(nu=-0.3, r=0.5, z=-0.6, mu=0.3)
+    assert [point.nu for point in x] == list(nu)
+    for index in (slice(1, None), [2, 0]):
+        part = x[index]
+        assert part.r == 0.5 and np.array_equal(part.nu, nu[index])
+        assert np.array_equal([part.z, part.mu], [2 * part.nu, -part.nu])
+    with pytest.raises(IndexError):
+        x[1][0]
+    # The constructor runs, so a Cartan point checks its r.
+    y = group.CartanCoords._regular(beta=nu, phi=0.0, r=np.array([0, 1, 2]),
+                                    ell=0.0, alpha=nu)
+    assert y[1:].r.tolist() == [1, 2]
+    with pytest.raises(group.ChartSingularityError):
+        y[0]
+
+
 @pytest.mark.parametrize("r", [0.0, np.array([0.5, 0.0, 1.0])])
 def test_hc_to_cartan_checks_the_chart_once(monkeypatch, r):
     # One chart check per transform, made before any division: r = 0
@@ -161,10 +182,7 @@ def test_represent_cartan_matches_dense_displacements(dim):
     big = 80
     y = group.CartanCoords(beta=0.8 - 0.5j, phi=0.4, r=0.9, ell=-0.3,
                            alpha=-0.6 + 0.7j)
-    middle = np.diag(np.exp(-(np.arange(big) + 0.5) * y.r - y.ell
-                            + 1j * y.phi))
-    dense = (fock.displacement_operator(big, y.beta) @ middle
-             @ fock.displacement_operator(big, y.alpha).conj().T)
+    dense = fock.cartan_decomposition(big, y.beta, y.phi, y.r, y.ell, y.alpha)
     got = group.represent(y, dim)
     assert np.max(np.abs(got - dense[:dim, :dim])) <= 1e-13 * np.max(
         np.abs(got))
@@ -176,10 +194,9 @@ def test_represent_hc_batched_equals_scalar_calls():
     z = 0.3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
     mu = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
     r = rng.uniform(0.1, 2.0, size=4)
-    got = group.represent(group.HCCoords(nu=nu, r=r, z=z, mu=mu), 10)
-    want = np.stack([group.represent(
-        group.HCCoords(nu=nu[i], r=r[i], z=z[i], mu=mu[i]), 10)
-        for i in range(4)])
+    x = group.HCCoords(nu=nu, r=r, z=z, mu=mu)
+    got = group.represent(x, 10)
+    want = np.stack([group.represent(x[i], 10) for i in range(4)])
     assert got.shape == (4, 10, 10)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -231,24 +248,22 @@ def test_represent_cartan_batched_equals_scalar_calls():
     alpha = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
     phi, ell = rng.normal(size=4), 0.3 * rng.normal(size=4)
     r = rng.uniform(0.1, 2.0, size=4)
-    got = group.represent(group.CartanCoords(
-        beta=beta, phi=phi, r=r, ell=ell, alpha=alpha), 10)
-    want = np.stack([group.represent(group.CartanCoords(
-        beta=beta[i], phi=phi[i], r=r[i], ell=ell[i], alpha=alpha[i]), 10)
-        for i in range(4)])
+    y = group.CartanCoords(beta=beta, phi=phi, r=r, ell=ell, alpha=alpha)
+    got = group.represent(y, 10)
+    want = np.stack([group.represent(y[i], 10) for i in range(4)])
     assert got.shape == (4, 10, 10)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_povm_element_form():
-    # R(y)_dag R(y) = D_alpha e^{-2 r Ho - 2 ell} D_alpha_dag
+    # R(y)_dag R(y) = D_alpha e^{-2 r Ho - 2 ell} D_alpha_dag, the
+    # Cartan element (alpha, 0, 2r, 2 ell, alpha).
     dim = 30
     y = group.CartanCoords(beta=0.3 - 0.1j, phi=0.7, r=1.2, ell=0.25,
                            alpha=0.2 + 0.4j)
     rep = group.represent(y, dim)
-    d = fock.displacement_operator(dim, y.alpha)
-    core = np.diag(np.exp(-2 * y.r * (np.arange(dim) + 0.5) - 2 * y.ell))
-    want = d @ core @ d.conj().T
+    want = fock.cartan_decomposition(dim, y.alpha, 0.0, 2 * y.r, 2 * y.ell,
+                                     y.alpha)
     got = rep.conj().T @ rep
     assert np.linalg.norm(fock.interior_block(got - want)) <= 1e-8
 

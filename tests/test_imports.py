@@ -13,10 +13,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# One small call per layer, as the benchmark's warm-up makes, then the
-# channel Monte Carlo and its verify check, and the checks whose dense
-# references are built from `fock.displacement_operator` (eigh) and
-# `group.represent` alone.
+# One small call per layer, as the benchmark's warm-up makes, the dense
+# Cartan oracle, then the channel Monte Carlo and its verify check, and
+# the checks whose dense references are built from
+# `fock.displacement_operator` (eigh) and `group.represent` alone.
 SCRIPT = """
 import sys
 import threading
@@ -28,6 +28,7 @@ assert threading.active_count() == 1, threading.enumerate()
 assert paths._worker is None
 
 fock.displacement_operator(4, 0.1)
+fock.cartan_decomposition(4, 0.1, 0.2, 0.3, 0.4, 0.5j)
 group.represent(group.HCCoords.identity(), 4)
 paths.closed_form_hc(paths.sample_wiener(8, 1e-3, 1.0, 0))
 moments.direct_moments(moments.build_kernel(8, 1e-3, 1.0))

@@ -329,6 +329,14 @@ def test_riccati_matches_generic_rk4(kappa, T, steps):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kappa, T", [(1.0, 0.0), (1.0, np.nan), (1.0, np.inf),
+                                      (-1.0, 1.0), (np.nan, 1.0)])
+def test_riccati_rejects_bad_input(kappa, T):
+    # T = NaN once gave NaN arrays, and kappa = -1 a negative n(T).
+    with pytest.raises(ValueError, match="kappa >= 0, both finite"):
+        moments.riccati_integrate(kappa, T, 100)
+
+
 def test_riccati_monotone_and_bounded():
     _, n, _, _ = moments.riccati_integrate(1.0, 5.0, 2000)
     assert np.all(np.diff(n) >= 0)

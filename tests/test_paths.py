@@ -100,35 +100,29 @@ def test_sample_modified_endpoint_moment():
     assert abs(n_est - m_est) <= 3 * se
 
 
-def _point(coords, k):
-    """Point k (an index or a slice) of array-valued coordinates."""
-    return type(coords)(**{name: value[k]
-                           for name, value in vars(coords).items()})
-
-
 def test_propagate_hc_zero_noise():
     path = paths.WienerPath(dt=1e-2, kappa=1.0, increments=np.zeros(50, complex))
-    end = _point(paths.propagate_sde(path, chart="hc"), -1)
+    end = paths.propagate_sde(path)[-1]
     assert end.nu == 0 and end.mu == 0 and end.z == 0
     assert abs(end.r - 1.0) <= 1e-12
 
 
 def test_propagate_trajectory_shapes():
-    # One array-valued point per chart: N + 1 HC points from the
-    # identity, N Cartan points from t = dt; point k's time is r/(2 kappa).
+    # N + 1 HC points from the identity, and their transform after it,
+    # N Cartan points from t = dt; point k's time is r/(2 kappa).
     path = paths.sample_wiener(10, 1e-3, 2.0, seed=4)
-    hc = paths.propagate_sde(path, chart="hc")
+    hc = paths.propagate_sde(path)
     assert isinstance(hc, group.HCCoords)
     for name in ("nu", "r", "z", "mu"):
         assert np.shape(getattr(hc, name)) == (11,)
     assert np.array_equal(hc.r / (2 * 2.0), 1e-3 * np.arange(11))
-    cartan = paths.propagate_sde(path, chart="cartan")
+    cartan = group.hc_to_cartan(hc[1:])
     assert isinstance(cartan, group.CartanCoords)
     for name in ("beta", "phi", "r", "ell", "alpha"):
         assert np.shape(getattr(cartan, name)) == (10,)
     assert np.array_equal(cartan.r, hc.r[1:])
-    with pytest.raises(ValueError, match="chart"):
-        paths.propagate_sde(path, chart="polar")
+    with pytest.raises(TypeError, match="chart"):
+        paths.propagate_sde(path, chart="cartan")
     with pytest.raises(ValueError, match="one path"):
         paths.propagate_sde(paths.sample_wiener(10, 1e-3, 2.0, 4, n_paths=2))
 
@@ -137,7 +131,7 @@ def test_propagate_trajectory_shapes():
     (1, 1e-3, 1.0), (300, 1e-3, 1.5), (2000, 0.1, 1.0)])  # kappa T up to 200
 def test_propagate_hc_equals_recursion_at_every_step(N, dt, kappa):
     path = paths.sample_wiener(N, dt, kappa, seed=N)
-    got = paths.propagate_sde(path, chart="hc")
+    got = paths.propagate_sde(path)
     x = group.HCCoords.identity()
     for k in range(N + 1):
         if k:
@@ -189,7 +183,7 @@ def _cartan_loop_oracle(path):
                                    (4000, 0.1)])  # kappa T up to 400
 def test_propagate_cartan_equals_step_loop(N, dt):
     path = paths.sample_wiener(N, dt, 1.0, seed=N)
-    got = paths.propagate_sde(path, chart="cartan")
+    got = group.hc_to_cartan(paths.propagate_sde(path)[1:])
     want = _cartan_loop_oracle(path)
     for name, row in zip(("beta", "phi", "r", "ell", "alpha"), want):
         # Relative, but absolute below 1: phi is 0 after one step.
@@ -200,9 +194,10 @@ def test_propagate_cartan_equals_step_loop(N, dt):
 def test_cross_chart_endpoint():
     dt, N = 1e-3, 500
     path = paths.sample_wiener(N, dt, 1.0, seed=21)
-    hc_end = _point(paths.propagate_sde(path, chart="hc"), -1)
+    hc = paths.propagate_sde(path)
+    hc_end = hc[-1]
     ref = group.hc_to_cartan(hc_end)
-    got = _point(paths.propagate_sde(path, chart="cartan"), -1)
+    got = group.hc_to_cartan(hc[1:])[-1]
     f, _ = group.gauge_functions(hc_end)
     tol = 10 * dt
     assert abs(got.beta - ref.beta) <= tol
@@ -218,10 +213,15 @@ def test_cross_chart_endpoint_at_long_times(N):
     # on the transformed HC endpoint where e^r overflows.
     path = paths.sample_wiener(N, 0.1, 1.0, seed=3)
     ref = group.hc_to_cartan(paths.closed_form_hc(path))
-    got = _point(paths.propagate_sde(path, chart="cartan"), -1)
+    got = group.hc_to_cartan(paths.propagate_sde(path)[1:])[-1]
     assert np.all(np.isfinite(group.cartan_vector(got)))
     assert np.max(np.abs(group.cartan_vector(got) - group.cartan_vector(ref))
                   ) <= 1e-12 * np.max(np.abs(group.cartan_vector(ref)))
+
+
+def test_endpoint_batch_keeps_its_r_on_indexing():
+    ends = paths.closed_form_hc(paths.sample_wiener(50, 1e-3, 1.0, 8, 3))
+    assert ends[1] == group.HCCoords(ends.nu[1], ends.r, ends.z[1], ends.mu[1])
 
 
 def test_closed_form_single_increment():
@@ -895,8 +895,8 @@ def test_pfaffian_per_step_combinations():
     # residual is exactly the -k|dw|^2/2 center term.
     dt, kappa, N = 1e-3, 1.0, 1000
     path = paths.sample_wiener(N, dt, kappa, seed=42)
-    x = paths.propagate_sde(path, chart="hc")
-    y = group.hc_to_cartan(_point(x, slice(1, None)))
+    x = paths.propagate_sde(path)
+    y = group.hc_to_cartan(x[1:])
     pair = np.diff(y.beta) - np.cosh(y.r[:-1]) * np.diff(y.alpha)
     assert np.max(np.abs(pair)) <= dt
     combo = (np.diff(x.s)
@@ -1052,3 +1052,14 @@ def test_refine_path_rejects_factor_one():
     path = paths.sample_wiener(10, 1e-3, 1.0, seed=1)
     with pytest.raises(ValueError):
         paths.refine_path(path, 1, seed=2)
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_refine_path_draws_apart_from_the_record(stream):
+    # The bridge noise Re(fine[2k] - fine[2k+1]) once equalled a stream-1
+    # record's own Re(dw[4k] - dw[4k+2]) up to scale, for k < N/4.
+    path = paths.sample_wiener(2000, 1e-3, 1.0, 7, stream=stream)
+    fine = paths.refine_path(path, 2, 7).increments
+    noise = (fine[0::2] - fine[1::2]).real[:500]
+    own = (path.increments[0::4] - path.increments[2::4]).real
+    assert abs(np.corrcoef(noise, own)[0, 1]) <= 0.2

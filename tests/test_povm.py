@@ -46,6 +46,13 @@ def test_partition_function_rejects_nonpositive():
         povm.partition_function_check(0.0, 10)
 
 
+@pytest.mark.parametrize("kT, dim", [(np.nan, 10), (np.inf, 10), (1.0, 0)])
+def test_partition_function_rejects_bad_input(kT, dim):
+    # These once returned all NaN, or residual 1.0 at dim 0.
+    with pytest.raises(ValueError, match="need kT > 0 and finite"):
+        povm.partition_function_check(kT, dim)
+
+
 @pytest.mark.parametrize("dim", [0, 1])
 def test_completeness_rejects_empty_block(dim):
     with pytest.raises(ValueError, match="dim"):
@@ -372,16 +379,20 @@ def test_late_time_residual_ground():
 @pytest.mark.parametrize("kT,beta,alpha", [(2.0, 0.5, 0.3),
                                             (6.0, 1.0 - 0.5j, -0.7j)])
 def test_late_time_residual_matches_dense_oracle(kT, beta, alpha):
-    # Dense displacements at dim 80, cut to the top 40 x 40 block.
+    # The dense Cartan element (beta, 0, 2kT, -kT, alpha) and coherent
+    # vectors D|0> at dim 80, cut to the top 40 x 40 block.
     big, dim = 80, 40
-    d_beta = fock.displacement_operator(big, beta)
-    d_alpha = fock.displacement_operator(big, alpha)
-    core = np.diag(np.exp(kT - 2 * kT * (np.arange(big) + 0.5)))
-    element = d_beta @ core @ d_alpha.conj().T
-    outer = np.outer(d_beta[:, 0], d_alpha[:, 0].conj())
+    element = fock.cartan_decomposition(big, beta, 0.0, 2 * kT, -kT, alpha)
+    outer = np.outer(fock.displacement_operator(big, beta)[:, 0],
+                     fock.displacement_operator(big, alpha)[:, 0].conj())
     want = np.linalg.norm((element - outer)[:dim, :dim], ord=2)
     got = povm.late_time_coherent_residual(kT, beta, alpha, dim)
     assert abs(got - want) <= 1e-13
+
+
+def test_late_time_residual_rejects_dim_zero():  # once an IndexError
+    with pytest.raises(ValueError, match="dim >= 1"):
+        povm.late_time_coherent_residual(1.0, 0, 0, 0)
 
 
 def test_late_time_residual_displaced():
