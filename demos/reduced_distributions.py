@@ -7,7 +7,7 @@ path averages reproduce the closed-form normalization and moments.
 
 import numpy as np
 
-from spqm import dists, moments
+from spqm import dists, group, moments
 
 KT = 0.5
 
@@ -18,12 +18,12 @@ print(f"normalization N(kT) = {dists.normalization_factor(KT):.7f}"
 
 # The Cartan form depends only on beta - alpha; the HC form splits over
 # sum and difference variables.  They differ by the gauge factor e^{2f}.
+# A coset is given in Cartan coordinates; its phi and ell are ignored.
 rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(100):
-    point = dists.ReducedPoint(
-        r=2 * KT,
-        beta=rng.normal() + 1j * rng.normal(),
+    point = group.CartanCoords(
+        beta=rng.normal() + 1j * rng.normal(), phi=0.0, r=2 * KT, ell=0.0,
         alpha=rng.normal() + 1j * rng.normal())
     worst = max(worst, dists.gauge_relation_residual(point, KT))
 print(f"gauge relation C = e^(2f) B, worst residual on 100 cosets: "

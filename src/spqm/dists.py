@@ -9,7 +9,8 @@ Two closely related densities appear:
 * B : the HC-natural unnormalized form, Gaussian in the sum and
   difference variables separately.
 
-C and B differ by the positive gauge factor e^{2f}.  The delta factor
+C and B differ by the positive gauge factor e^{2f}; both take the coset
+as `group.CartanCoords` and ignore its phi and ell.  The delta factor
 in the ruler is handled structurally: densities are evaluated on shell
 (r = 2 kappa T) and the returned value excludes the delta.
 
@@ -20,7 +21,7 @@ normalization (nor has e^{-2 ell} a finite mean under that measure).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +30,6 @@ from . import fock, group, moments, paths
 
 __all__ = [
     "OffShellError",
-    "ReducedPoint",
     "DensityValue",
     "FKEstimate",
     "sigma_width",
@@ -48,36 +48,6 @@ _R_SHELL_TOL = 1e-9
 
 class OffShellError(ValueError):
     """Reduced density evaluated away from the shell r = 2 kappa T."""
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """A coset point: ruler r plus the phase-plane pair (beta, alpha).
-
-    The central phase and normalization are forgotten.  The equivalent
-    HC pair (nu, mu) is exposed as properties; `from_hc` builds a point
-    from that chart.
-    """
-
-    r: float
-    beta: complex
-    alpha: complex
-
-    def __post_init__(self):
-        if not (self.r > 0):
-            raise OffShellError("reduced Cartan evaluation needs r > 0")
-
-    @classmethod
-    def from_hc(cls, r, nu, mu):
-        return cls(r, *group.coset_pair(r, nu, mu))
-
-    @property
-    def nu(self):
-        return self.beta - np.exp(-self.r) * self.alpha
-
-    @property
-    def mu(self):
-        return self.alpha - np.exp(-self.r) * self.beta
 
 
 @dataclass(frozen=True)
@@ -143,8 +113,8 @@ def normalization_factor(kT):
 
 
 def _check_on_shell(point, kT):
-    if kT <= 0:
-        raise OffShellError("need kT > 0")
+    if not 0 < kT < np.inf:
+        raise OffShellError(f"kT must be positive and finite, got {kT}")
     if abs(point.r - 2 * kT) > _R_SHELL_TOL * max(1.0, 2 * kT):
         raise OffShellError(
             f"point has r = {point.r}, off the shell r = 2kT = {2 * kT}")
@@ -156,10 +126,12 @@ def _prefactor(kT, sigma):
 
 
 def density_cartan_reduced(point, kT):
-    """On-shell Cartan-form reduced density C.
+    """On-shell Cartan-form reduced density C at Cartan coordinates.
 
     C depends on the phase points only through their difference:
     prefactor 2/(sinh(2kT) Sigma), exponent -|beta - alpha|^2 / Sigma.
+    Raises `OffShellError` for a kT that is not positive and finite,
+    and for a point off the shell r = 2kT.
     """
     _check_on_shell(point, kT)
     sigma = sigma_width(kT)
@@ -169,7 +141,7 @@ def density_cartan_reduced(point, kT):
 
 
 def density_hc_reduced(point, kT):
-    """On-shell HC-form reduced density B.
+    """On-shell HC-form reduced density B at Cartan coordinates.
 
     The exponent splits over the uncorrelated sum and difference
     variables, written in the coset's Cartan pair:
@@ -180,7 +152,7 @@ def density_hc_reduced(point, kT):
     (in its HC pair, -|nu+mu|^2 e^{kT}/(4 sinh kT)
     -|nu-mu|^2 e^{kT}(1+kT)/(4 cosh kT Sigma)).  It is evaluated in
     decaying factors (e^{-kT} sinh kT = (1 - e^{-2kT})/2 and so on), so
-    it is finite at any kT > 0.
+    it is finite at any kT > 0.  Raises as `density_cartan_reduced`.
     """
     _check_on_shell(point, kT)
     sigma = sigma_width(kT)
@@ -193,7 +165,7 @@ def density_hc_reduced(point, kT):
 
 
 def gauge_relation_residual(point, kT):
-    """Relative residual of the gauge relation C = e^{2f} B at one coset.
+    """Relative residual of C = e^{2f} B at one coset, in Cartan coordinates.
 
     Computed in log space (C and B share the same prefactor), so the
     result stays meaningful where both Gaussians underflow.  The three
@@ -204,13 +176,12 @@ def gauge_relation_residual(point, kT):
     eps |beta - alpha|^2 / Sigma.
     """
     kT = np.longdouble(kT)
-    point = ReducedPoint(r=np.longdouble(point.r),
-                         beta=np.clongdouble(point.beta),
-                         alpha=np.clongdouble(point.alpha))
+    point = replace(point, r=np.longdouble(point.r),
+                    beta=np.clongdouble(point.beta),
+                    alpha=np.clongdouble(point.alpha))
     c = density_cartan_reduced(point, kT)
     b = density_hc_reduced(point, kT)
-    f, _ = group.gauge_functions(group.CartanCoords(
-        beta=point.beta, phi=0.0, r=point.r, ell=0.0, alpha=point.alpha))
+    f, _ = group.gauge_functions(point)
     log_ratio = 2 * f + b.gaussian_exponent - c.gaussian_exponent
     return float(abs(np.expm1(log_ratio)))
 

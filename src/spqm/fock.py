@@ -40,15 +40,14 @@ def interior_dim(dim):
     return -(-dim // 2)
 
 
-def interior_block(mat, size=None):
-    """Top-left block of a square matrix, default size ``interior_dim``.
+def interior_block(mat):
+    """Top-left block of a square matrix, of size ``interior_dim``.
 
     The bottom rows and columns of truncated operators carry the
     truncation artifact (e.g. the corner of [a, a_dag]), so tolerance
     comparisons are made on this block only.
     """
-    if size is None:
-        size = interior_dim(mat.shape[-1])
+    size = interior_dim(mat.shape[-1])
     return mat[..., :size, :size]
 
 

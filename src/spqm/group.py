@@ -16,7 +16,7 @@ convention nu = (nu1 + i nu2)/sqrt(2), and the phase-plane measure is
 d2nu = (1/2) dnu1 dnu2 (likewise for mu, beta, alpha).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,7 @@ class ChartSingularityError(ValueError):
 
 
 def _require_regular(r):
-    if np.any(np.asarray(r) <= R_MIN):
+    if not np.all(np.asarray(r) > R_MIN):
         raise ChartSingularityError(
             f"Cartan chart is singular at r = 0; need r > {R_MIN}")
 
@@ -265,57 +265,43 @@ def haar_density(coords):
     return density
 
 
-# Real coordinate vectors.  Complex coordinates carry the
-# x = (x1 + i x2)/sqrt(2) component convention.
-
-HC_DIRECTIONS = ("nu1", "nu2", "r", "s", "psi", "mu1", "mu2")
-CARTAN_DIRECTIONS = ("beta1", "beta2", "phi", "r", "ell", "alpha1", "alpha2")
+# Real coordinate directions: a step h along a direction adds h * unit
+# to its field, so complex coordinates carry the x = (x1 + i x2)/sqrt(2)
+# component convention.
 
 _SQRT2 = np.sqrt(2)
 
+_TABLES = {
+    HCCoords: {
+        "nu1": ("nu", 1 / _SQRT2), "nu2": ("nu", 1j / _SQRT2),
+        "r": ("r", 1), "s": ("z", -1), "psi": ("z", 1j),
+        "mu1": ("mu", 1 / _SQRT2), "mu2": ("mu", 1j / _SQRT2),
+    },
+    CartanCoords: {
+        "beta1": ("beta", 1 / _SQRT2), "beta2": ("beta", 1j / _SQRT2),
+        "phi": ("phi", 1), "r": ("r", 1), "ell": ("ell", 1),
+        "alpha1": ("alpha", 1 / _SQRT2), "alpha2": ("alpha", 1j / _SQRT2),
+    },
+}
 
-def _split(c):
-    return _SQRT2 * np.real(c), _SQRT2 * np.imag(c)
+HC_DIRECTIONS = tuple(_TABLES[HCCoords])
+CARTAN_DIRECTIONS = tuple(_TABLES[CartanCoords])
 
-
-def _join(c1, c2):
-    return (c1 + 1j * c2) / _SQRT2
-
-
-def hc_vector(x):
-    """Real 7-vector (nu1, nu2, r, s, psi, mu1, mu2)."""
-    nu1, nu2 = _split(x.nu)
-    mu1, mu2 = _split(x.mu)
-    return np.array([nu1, nu2, x.r, x.s, x.psi, mu1, mu2])
-
-
-def hc_from_vector(v):
-    nu1, nu2, r, s, psi, mu1, mu2 = v
-    return HCCoords(nu=_join(nu1, nu2), r=r, z=-s + 1j * psi,
-                    mu=_join(mu1, mu2))
-
-
-def cartan_vector(y):
-    """Real 7-vector (beta1, beta2, phi, r, ell, alpha1, alpha2)."""
-    b1, b2 = _split(y.beta)
-    a1, a2 = _split(y.alpha)
-    return np.array([b1, b2, y.phi, y.r, y.ell, a1, a2])
+#: Central-difference step of the frame and Jacobian checks; it
+#: balances truncation against roundoff for O(1) coordinates.
+_STEP = 1e-5
 
 
-def cartan_from_vector(v):
-    b1, b2, phi, r, ell, a1, a2 = v
-    return CartanCoords(beta=_join(b1, b2), phi=phi, r=r, ell=ell,
-                        alpha=_join(a1, a2))
+def _moved(x, direction, h):
+    """The point x moved by h along one real direction of its chart."""
+    field, unit = _TABLES[type(x)][direction]
+    return replace(x, **{field: getattr(x, field) + h * unit})
 
 
-def _perturbed(x, direction, h):
-    if isinstance(x, HCCoords):
-        names, to_vec, from_vec = HC_DIRECTIONS, hc_vector, hc_from_vector
-    else:
-        names, to_vec, from_vec = CARTAN_DIRECTIONS, cartan_vector, cartan_from_vector
-    v = to_vec(x)
-    v[names.index(direction)] += h
-    return from_vec(v)
+def _components(x):
+    """The real 7-vector of x: each field over each of its units, real part."""
+    return np.array([np.real(getattr(x, field) / unit)
+                     for field, unit in _TABLES[type(x)].values()])
 
 
 def frame_derivative_generator(x, direction, dim):
@@ -327,7 +313,6 @@ def frame_derivative_generator(x, direction, dim):
     ops = fock.canonical_operators(dim)
     eye = np.eye(dim, dtype=complex)
     if isinstance(x, HCCoords):
-        nu1, nu2 = _split(x.nu)
         er = np.exp(x.r)
         table = {
             "nu1": ops.a_dag / _SQRT2,
@@ -335,12 +320,11 @@ def frame_derivative_generator(x, direction, dim):
             "s": -eye,
             "psi": 1j * eye,
             "r": -(ops.h_osc - x.nu * ops.a_dag),
-            "mu1": er * (ops.a / _SQRT2 - 0.5 * (nu1 + 1j * nu2) * eye),
-            "mu2": er * (-1j * ops.a / _SQRT2 + 0.5 * (-nu2 + 1j * nu1) * eye),
+            "mu1": er * (ops.a - x.nu * eye) / _SQRT2,
+            "mu2": -1j * er * (ops.a - x.nu * eye) / _SQRT2,
         }
         return table[direction]
-    b1, b2 = _split(x.beta)
-    a1, a2 = _split(x.alpha)
+    b1, b2, _, _, _, a1, a2 = _components(x)
     ch, sh = np.cosh(x.r), np.sinh(x.r)
     table = {
         "phi": 1j * eye,
@@ -357,38 +341,33 @@ def frame_derivative_generator(x, direction, dim):
     return table[direction]
 
 
-def frame_derivative_residual(x, dim, direction, step=1e-5):
+def frame_derivative_residual(x, dim, direction):
     """Interior-block norm of (finite-difference minus analytic) derivative.
 
-    Central differences of `represent` along one real coordinate are
-    compared with the analytic generator acting on R(x).  The step
-    1e-5 balances truncation against roundoff for O(1) coordinates.
+    Central differences of `represent` along one real coordinate, step
+    `_STEP`, are compared with the analytic generator acting on R(x).
     """
-    plus = represent(_perturbed(x, direction, step), dim)
-    minus = represent(_perturbed(x, direction, -step), dim)
-    finite = (plus - minus) / (2 * step)
+    plus = represent(_moved(x, direction, _STEP), dim)
+    minus = represent(_moved(x, direction, -_STEP), dim)
+    finite = (plus - minus) / (2 * _STEP)
     analytic = frame_derivative_generator(x, direction, dim) @ represent(x, dim)
     return np.linalg.norm(fock.interior_block(finite - analytic))
 
 
-def jacobian_consistency_residual(x, step=1e-5):
+def jacobian_consistency_residual(x):
     """Check the two Haar densities against the chart-transform Jacobian.
 
     Returns |det(J) * density_cartan / density_hc - 1| with J the
-    numerical 7x7 Jacobian of hc_to_cartan in the real coordinate
-    vectors.  The 1/4 phase-plane measure factors cancel between the
-    charts, so the flat-coordinate densities compare directly.
+    numerical 7x7 Jacobian of hc_to_cartan in the real components
+    (central differences, step `_STEP`).  The 1/4 phase-plane measure
+    factors cancel between the charts, so the flat-coordinate densities
+    compare directly.
     """
-    _require_regular(x.r)
     jac = np.empty((7, 7))
-    for j in range(7):
-        vp = hc_vector(x)
-        vm = vp.copy()
-        vp[j] += step
-        vm[j] -= step
-        yp = cartan_vector(hc_to_cartan(hc_from_vector(vp)))
-        ym = cartan_vector(hc_to_cartan(hc_from_vector(vm)))
-        jac[:, j] = (yp - ym) / (2 * step)
+    for j, direction in enumerate(HC_DIRECTIONS):
+        yp = _components(hc_to_cartan(_moved(x, direction, _STEP)))
+        ym = _components(hc_to_cartan(_moved(x, direction, -_STEP)))
+        jac[:, j] = (yp - ym) / (2 * _STEP)
     ratio = (np.abs(np.linalg.det(jac))
              * haar_density(hc_to_cartan(x)) / haar_density(x))
     return abs(ratio - 1.0)

@@ -195,26 +195,23 @@ def _chunks(n_paths, chunk):
             for j, first in enumerate(range(0, n_paths, chunk))]
 
 
-def _each_block(kernel, N, seed, streams, step, *args, panel=2 * _PATH_BLOCK):
+def _each_block(N, seed, streams, step, *args, panel=2 * _PATH_BLOCK):
     """Call step(rows, start, *args) on each panel of the records of `streams`.
 
     `streams` lists (stream, n_paths) pairs; the records are those of
     each stream in turn, so start counts the paths of the earlier
-    streams too.  `step` is `_store_rows` (the record samplers),
-    `_reduce_rows` (`sample_endpoints`), `_project_rows`
-    (`_phase_sums`) or `povm._channel_rows` (`povm.channel_monte_carlo`),
-    the last three with one stream per chunk of records (`_chunks`).
+    streams too.  `step` is `_store_rows` (plain records),
+    `_correlate_rows` (modified records), `_reduce_rows`
+    (`sample_endpoints`), `_project_rows` (`_phase_sums`) or
+    `povm._channel_rows` (`povm.channel_monte_carlo`), the last three
+    with one stream per chunk of records (`_chunks`).
     Block b of a stream holds its paths from b `_PATH_BLOCK` on, at
     most `_PATH_BLOCK` of them, as (2 paths, N) white rows drawn from
     its own generator `_rng(seed, stream, b)`: path p's real row 2p and
     its imaginary row 2p+1.  The block reaches `step` in panels of
     `panel` rows (even; the default is the whole block), filled one
     after another from the block's generator, so the rows are those of
-    one draw of the whole block.  With `kernel` given each panel is
-    correlated in place by `kernel.correlate` (modified measure) before
-    `step` sees it; only `_draw` passes one, with whole blocks, as the
-    correlation makes one blocked pass along the record per call.  The
-    blocks of all streams are
+    one draw of the whole block.  The blocks of all streams are
     shared by the two threads of one `_run_blocks` schedule, and each
     thread draws the blocks it claims into its own row buffer of one
     panel; each block has its own generator and `step` writes it to
@@ -237,8 +234,6 @@ def _each_block(kernel, N, seed, streams, step, *args, panel=2 * _PATH_BLOCK):
         for first in range(0, 2 * size, panel):
             rows = buffers[thread][:min(panel, 2 * size - first)]
             rng.standard_normal(out=rows)
-            if kernel is not None:
-                kernel.correlate(rows)
             step(rows, start + first // 2, *args)
 
     _run_blocks(len(blocks), draw)
@@ -249,6 +244,12 @@ def _store_rows(rows, start, dw, scale):
     block = dw[start:start + len(rows) // 2]
     np.multiply(rows[0::2], scale, out=block.real)
     np.multiply(rows[1::2], scale, out=block.imag)
+
+
+def _correlate_rows(rows, start, kernel, dw, scale):
+    """Correlate `rows` in place by `kernel`, then `_store_rows` them."""
+    kernel.correlate(rows)
+    _store_rows(rows, start, dw, scale)
 
 
 def _reduce_rows(rows, start, ends, kappa, dt):
@@ -274,9 +275,12 @@ def _draw(measure, N, dt, kappa, seed, n_paths, stream):
     count = 1 if n_paths is None else n_paths
     kernel = _measure_kernel(measure, N, dt, kappa, count)
     dw = np.empty((count, N), dtype=complex)
-    _each_block(kernel, N, seed, [(stream, count)], _store_rows, dw,
-                np.sqrt(dt / 2),
-                panel=_PANEL_ROWS if kernel is None else 2 * _PATH_BLOCK)
+    if kernel is None:
+        _each_block(N, seed, [(stream, count)], _store_rows, dw,
+                    np.sqrt(dt / 2), panel=_PANEL_ROWS)
+    else:
+        _each_block(N, seed, [(stream, count)], _correlate_rows, kernel, dw,
+                    np.sqrt(dt / 2))
     return dw[0] if n_paths is None else dw
 
 
@@ -336,7 +340,7 @@ def sample_endpoints(N, dt, kappa, seed, n_paths, chunk=None):
     """
     _measure_kernel("plain", N, dt, kappa, n_paths)
     ends = np.empty((3, n_paths), dtype=complex)
-    _each_block(None, N, seed, _chunks(n_paths, chunk), _reduce_rows, ends,
+    _each_block(N, seed, _chunks(n_paths, chunk), _reduce_rows, ends,
                 kappa, dt)
     nu, z, mu = ends
     return group.HCCoords(nu=nu, r=2 * kappa * dt * N, z=z, mu=mu)
@@ -390,7 +394,7 @@ def _phase_sums(measure, N, dt, kappa, seed, n_paths, chunk=None):
         loads = kernel._whitened_loads()
     loads = np.sqrt(kappa * dt / 2) * loads
     sums = np.empty((2 * n_paths, 2))
-    _each_block(None, N, seed, _chunks(n_paths, chunk), _project_rows, sums,
+    _each_block(N, seed, _chunks(n_paths, chunk), _project_rows, sums,
                 loads, panel=_PANEL_ROWS)
     return (sums[0::2, 0] + 1j * sums[1::2, 0],
             sums[0::2, 1] + 1j * sums[1::2, 1])

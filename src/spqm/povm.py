@@ -83,7 +83,8 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     Gauss-Laguerre quadrature in u = (1 - e^{-4kT}) |alpha|^2 and a
     uniform angular grid, and returns the operator-norm deviation from
     the identity on the top-left dim/2 block; dim < 2 leaves that block
-    empty and raises ValueError.
+    empty and raises ValueError, as does a kT that is not positive and
+    finite.
 
     The POVM elements are the Cartan elements (alpha, 0, 4kT, 0, alpha),
     one batched `group.represent` over the radial nodes, exact at any
@@ -100,8 +101,8 @@ def completeness_quadrature(kT, dim, radial_nodes=40, angular_nodes=64):
     that the mean keeps only the diagonal of the block, and the
     deviation is the largest |diagonal - 1|.
     """
-    if kT <= 0:
-        raise ValueError("need kT > 0")
+    if not 0 < kT < np.inf:
+        raise ValueError("need kT > 0 and finite")
     if dim < 2:
         raise ValueError(f"dim must be at least 2, got {dim}")
     if dim // 2 > angular_nodes:
@@ -137,12 +138,15 @@ def channel_superoperator(kT, dim):
     -2 sqrt((n+1)(n+k+1)) between n and n + 1; offset -k has the same
     block.  Each block is exponentiated by its eigendecomposition, an
     O(dim^3) total; the result is real.  Raises ValueError for dim < 2
-    and NumericalDomainError for non-finite kT.
+    and for kT < 0, where the map amplifies, and NumericalDomainError
+    for non-finite kT.
     """
     if dim < 2:
         raise ValueError(f"dim must be at least 2, got {dim}")
     if not np.isfinite(kT):
         raise fock.NumericalDomainError("channel of non-finite kT")
+    if kT < 0:
+        raise ValueError(f"kT must be non-negative, got {kT}")
     levels = np.arange(dim)
     d = 2.0 * levels + 1
     d[-1] = dim - 1
@@ -235,7 +239,7 @@ def _channel_sums(factor, N, dt, dim, seed, n_paths):
     drew it (`_channel_rows`).  The block sums are added in block order.
     """
     sums, traces = {}, np.empty(n_paths)
-    paths._each_block(None, N, seed, paths._chunks(n_paths, CHANNEL_CHUNK),
+    paths._each_block(N, seed, paths._chunks(n_paths, CHANNEL_CHUNK),
                       _channel_rows, dt, 2 * dt * N, dim, factor, sums, traces)
     total = np.zeros((dim, dim), dtype=complex)
     for start in sorted(sums):

@@ -28,10 +28,10 @@ class CheckResult:
 
 
 def _random_coset(rng, r):
-    scale = 1.0
-    beta = (rng.normal(scale=scale) + 1j * rng.normal(scale=scale))
-    alpha = (rng.normal(scale=scale) + 1j * rng.normal(scale=scale))
-    return dists.ReducedPoint(r=r, beta=beta, alpha=alpha)
+    """Cartan coordinates with standard normal beta, alpha; phi = ell = 0."""
+    beta = rng.normal() + 1j * rng.normal()
+    alpha = rng.normal() + 1j * rng.normal()
+    return group.CartanCoords(beta=beta, phi=0.0, r=r, ell=0.0, alpha=alpha)
 
 
 def check_direct_moments():

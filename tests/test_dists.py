@@ -2,6 +2,7 @@
 
 import decimal
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,16 @@ from hypothesis import given, settings, strategies as st
 from spqm import dists, fock, group, moments, paths
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _point(r, beta, alpha):
+    """The coset (r, beta, alpha) as Cartan coordinates, phi = ell = 0."""
+    return group.CartanCoords(beta=beta, phi=0.0, r=r, ell=0.0, alpha=alpha)
+
+
+def _coset(r, nu, mu):
+    """The coset of the HC pair (nu, mu) at ruler r, in Cartan coordinates."""
+    return group.hc_to_cartan(group.HCCoords(nu=nu, r=r, z=0j, mu=mu))
 
 
 def test_sigma_width_values():
@@ -46,7 +57,7 @@ def test_sigma_width_at_small_kt(kT):
 @pytest.mark.parametrize("kT", _SMALL_KT[:3])
 def test_densities_finite_at_vanishing_kt(kT):
     # Sigma ~ kT^3/3 stays positive, so no division by zero.
-    point = dists.ReducedPoint.from_hc(2 * kT, 0.6 - 0.3j, -0.4 + 0.5j)
+    point = _coset(2 * kT, 0.6 - 0.3j, -0.4 + 0.5j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [dists.density_cartan_reduced(point, kT),
@@ -81,7 +92,7 @@ def test_normalization_factor_refuses_non_finite(kT):
 def test_densities_finite_at_every_kt(kT):
     # Decaying factors only: no overflow warning past kT ~ 355 and no
     # NaN (inf/inf, 0 * inf) past ~710.
-    point = dists.ReducedPoint.from_hc(2 * kT, 0.6 - 0.3j, -0.4 + 0.5j)
+    point = _coset(2 * kT, 0.6 - 0.3j, -0.4 + 0.5j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [dists.density_cartan_reduced(point, kT),
@@ -95,34 +106,50 @@ def test_densities_finite_at_every_kt(kT):
 
 
 def test_reduced_point_charts_agree():
-    point = dists.ReducedPoint(r=1.4, beta=0.3 - 0.2j, alpha=0.1 + 0.5j)
-    back = dists.ReducedPoint.from_hc(point.r, point.nu, point.mu)
+    point = _point(1.4, 0.3 - 0.2j, 0.1 + 0.5j)
+    back = group.hc_to_cartan(group.cartan_to_hc(point))
     assert abs(back.beta - point.beta) <= 1e-12
     assert abs(back.alpha - point.alpha) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [50.0, 400.0, 800.0])
 def test_reduced_point_from_hc_at_large_r(r):
-    point = dists.ReducedPoint.from_hc(r, 0.6 - 0.3j, -0.4 + 0.5j)
-    assert abs(point.nu - (0.6 - 0.3j)) <= 1e-15
-    assert abs(point.mu - (-0.4 + 0.5j)) <= 1e-15
+    back = group.cartan_to_hc(_coset(r, 0.6 - 0.3j, -0.4 + 0.5j))
+    assert abs(back.nu - (0.6 - 0.3j)) <= 1e-15
+    assert abs(back.mu - (-0.4 + 0.5j)) <= 1e-15
 
 
 def test_off_shell_rejected():
-    point = dists.ReducedPoint(r=1.0, beta=0.0, alpha=0.0)
+    point = _point(1.0, 0.0, 0.0)
     with pytest.raises(dists.OffShellError):
         dists.density_cartan_reduced(point, kT=1.0)
-    with pytest.raises(dists.OffShellError):
-        dists.ReducedPoint(r=-1.0, beta=0.0, alpha=0.0)
+    with pytest.raises(group.ChartSingularityError):
+        _point(-1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kT", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("func", [dists.density_cartan_reduced,
+                                  dists.density_hc_reduced,
+                                  dists.gauge_relation_residual])
+def test_densities_refuse_kt_not_positive_and_finite(func, kT):
+    with pytest.raises(dists.OffShellError, match="positive and finite"):
+        func(_point(1.0, 0.3, -0.2j), kT)
+
+
+def test_densities_ignore_phi_and_ell():
+    point = _point(1.4, 0.2 + 0.1j, -0.3j)
+    moved = replace(point, phi=2.5, ell=-7.0)
+    for func in (dists.density_cartan_reduced, dists.density_hc_reduced):
+        assert func(moved, 0.7) == func(point, 0.7)
 
 
 def test_density_cartan_peak_and_value():
     kT = 1.0
-    peak = dists.ReducedPoint(r=2.0, beta=0.4 + 0.1j, alpha=0.4 + 0.1j)
+    peak = _point(2.0, 0.4 + 0.1j, 0.4 + 0.1j)
     val = dists.density_cartan_reduced(peak, kT)
     assert val.gaussian_exponent == 0
     sigma = dists.sigma_width(kT)
-    shifted = dists.ReducedPoint(r=2.0, beta=np.sqrt(sigma), alpha=0.0)
+    shifted = _point(2.0, np.sqrt(sigma), 0.0)
     val = dists.density_cartan_reduced(shifted, kT)
     assert abs(val.gaussian_exponent + 1.0) <= 1e-12
     assert abs(val.prefactor - 2 / (np.sinh(2.0) * sigma)) <= 1e-12
@@ -131,8 +158,8 @@ def test_density_cartan_peak_and_value():
 def test_density_cartan_translation_invariant():
     kT = 0.7
     c = 0.9 - 1.3j
-    a = dists.ReducedPoint(r=1.4, beta=0.2 + 0.1j, alpha=-0.3j)
-    b = dists.ReducedPoint(r=1.4, beta=a.beta + c, alpha=a.alpha + c)
+    a = _point(1.4, 0.2 + 0.1j, -0.3j)
+    b = _point(1.4, a.beta + c, a.alpha + c)
     va = dists.density_cartan_reduced(a, kT)
     vb = dists.density_cartan_reduced(b, kT)
     assert abs(va.value - vb.value) <= 1e-12 * va.value
@@ -164,7 +191,7 @@ def _reduced_quadrature(kT, nodes=32):
     p = (p1 + 1j * p2) / np.sqrt(2)
     m = (m1 + 1j * m2) / np.sqrt(2)
     nu, mu = (p + m) / 2, (p - m) / 2
-    point = dists.ReducedPoint.from_hc(2 * kT, nu, mu)
+    point = _coset(2 * kT, nu, mu)
     density = dists.density_hc_reduced(point, kT).value
     # d2nu d2mu = (1/4) d2p d2m with d2p = (1/2) dp1 dp2, and the coset
     # volume carries e^{2r}/(2pi)^2.
@@ -196,7 +223,7 @@ def test_normalized_density_moments_by_quadrature():
 @settings(max_examples=50, deadline=None)
 @given(coord, coord, coord, coord, st.sampled_from([0.2, 0.5, 1.0, 5.0]))
 def test_gauge_relation(b1, b2, a1, a2, kT):
-    point = dists.ReducedPoint(r=2 * kT, beta=b1 + 1j * b2, alpha=a1 + 1j * a2)
+    point = _point(2 * kT, b1 + 1j * b2, a1 + 1j * a2)
     assert dists.gauge_relation_residual(point, kT) <= 1e-12
 
 

@@ -97,6 +97,17 @@ def test_singular_chart_errors():
         group.CartanCoords(beta=0.0, phi=0.0, r=0.0, ell=0.0, alpha=0.0)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.array([0.5, np.nan])])
+def test_nan_ruler_is_refused(r):
+    with pytest.raises(group.ChartSingularityError):
+        group.CartanCoords(beta=0.0, phi=0.0, r=r, ell=0.0, alpha=0.0)
+    x = group.HCCoords(nu=0.1, r=r, z=0.0, mu=0.1)
+    with pytest.raises(group.ChartSingularityError):
+        group.hc_to_cartan(x)
+    with pytest.raises(group.ChartSingularityError):
+        group.gauge_functions(x)
+
+
 def test_coordinates_index_like_arrays():
     # Array fields are indexed, the shared scalar r kept; a single point
     # has no index, so iterating stops after the last point.
@@ -325,15 +336,15 @@ def test_chart_round_trips_at_large_r(r):
     # The Cartan pair in decaying factors stays finite where e^r does not.
     x = group.HCCoords(nu=0.6 - 0.3j, r=r, z=-1.2 + 0.4j, mu=-0.4 + 0.5j)
     y = group.hc_to_cartan(x)
-    assert np.all(np.isfinite(group.cartan_vector(y)))
+    assert np.all(np.isfinite(group._components(y)))
     back = group.cartan_to_hc(y)
     assert abs(back.nu - x.nu) <= 1e-14 and abs(back.mu - x.mu) <= 1e-14
     assert abs(back.z - x.z) <= 1e-14
     y = group.CartanCoords(beta=0.3 + 0.8j, phi=0.5, r=r, ell=-0.7,
                            alpha=-0.9 + 0.2j)
     again = group.hc_to_cartan(group.cartan_to_hc(y))
-    assert np.max(np.abs(group.cartan_vector(again)
-                         - group.cartan_vector(y))) <= 1e-14 * r
+    assert np.max(np.abs(group._components(again)
+                         - group._components(y))) <= 1e-14 * r
 
 
 @pytest.mark.parametrize("r", [400.0, 800.0])
@@ -369,10 +380,42 @@ def test_frame_derivative_examples():
     assert group.frame_derivative_residual(y, dim, "phi") <= 1e-6 * scale_y
 
 
-def test_vector_round_trip():
-    x = group.HCCoords(nu=0.2 + 0.1j, r=0.9, z=0.1 - 0.2j, mu=0.3 - 0.5j)
-    back = group.hc_from_vector(group.hc_vector(x))
-    assert abs(back.nu - x.nu) + abs(back.mu - x.mu) + abs(back.z - x.z) <= 1e-14
-    y = group.hc_to_cartan(x)
-    back_y = group.cartan_from_vector(group.cartan_vector(y))
-    assert abs(back_y.beta - y.beta) + abs(back_y.alpha - y.alpha) <= 1e-14
+_POINTS = [group.HCCoords(nu=0.2 + 0.1j, r=0.9, z=0.1 - 0.2j, mu=0.3 - 0.5j),
+           group.CartanCoords(beta=0.3 - 0.4j, phi=0.5, r=0.9, ell=-0.2,
+                              alpha=-0.1 + 0.6j)]
+
+
+@pytest.mark.parametrize("x, direction", [(_POINTS[0], "r"), (_POINTS[1], "r"),
+                                          (_POINTS[1], "phi"),
+                                          (_POINTS[1], "ell")],
+                         ids=["hc-r", "cartan-r", "cartan-phi", "cartan-ell"])
+def test_move_along_a_real_field(x, direction):
+    # A real coordinate moves by h and no other field moves at all.
+    moved = group._moved(x, direction, 0.25)
+    for name, value in vars(x).items():
+        want = value + 0.25 if name == direction else value
+        assert getattr(moved, name) == want, name
+
+
+@pytest.mark.parametrize("x", _POINTS, ids=["hc", "cartan"])
+def test_move_changes_one_component(x):
+    # Along each direction the components change in that one only, by h.
+    h = 0.125
+    before = group._components(x)
+    for j, direction in enumerate(group._TABLES[type(x)]):
+        change = group._components(group._moved(x, direction, h)) - before
+        want = np.zeros(7)
+        want[j] = h
+        assert np.max(np.abs(change - want)) <= 1e-15, direction
+
+
+def test_components_are_the_named_coordinates():
+    # x = (x1 + i x2)/sqrt(2) for a complex coordinate, and s = -Re z.
+    x, y = _POINTS
+    root2 = np.sqrt(2)
+    want = [(x, [root2 * x.nu.real, root2 * x.nu.imag, x.r, x.s, x.psi,
+                 root2 * x.mu.real, root2 * x.mu.imag]),
+            (y, [root2 * y.beta.real, root2 * y.beta.imag, y.phi, y.r, y.ell,
+                 root2 * y.alpha.real, root2 * y.alpha.imag])]
+    for point, components in want:
+        assert np.max(np.abs(group._components(point) - components)) <= 1e-15

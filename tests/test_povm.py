@@ -59,6 +59,13 @@ def test_completeness_rejects_empty_block(dim):
         povm.completeness_quadrature(1.0, dim)
 
 
+@pytest.mark.parametrize("kT", [0.0, -1.0, np.nan, np.inf])
+def test_completeness_rejects_kt_not_positive_and_finite(kT):
+    # NaN once reached the Cartan elements' r and raised "singular at r = 0".
+    with pytest.raises(ValueError, match="need kT > 0 and finite"):
+        povm.completeness_quadrature(kT, 8)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_completeness_smallest_blocks(dim):
     # The reported block of dim // 2 = 1 level is represented at dim 1.
@@ -195,6 +202,15 @@ def test_channel_superoperator_rejects_bad_input():
         povm.channel_superoperator(0.3, 1)
     with pytest.raises(fock.NumericalDomainError):
         povm.channel_superoperator(np.nan, 4)
+
+
+@pytest.mark.parametrize("kT", [-1.0, -1e-12])
+def test_channel_superoperator_rejects_negative_kt(kT):
+    # At kT = -1, dim 3 it returned an amplifying map (largest entry 71).
+    with pytest.raises(ValueError, match="non-negative"):
+        povm.channel_superoperator(kT, 3)
+    with pytest.raises(fock.NumericalDomainError):
+        povm.channel_superoperator(-np.inf, 3)
 
 
 def test_channel_superoperator_identity_limit():
